@@ -14,6 +14,8 @@ namespace perfbench {
 
 namespace {
 
+// Nominal length of one round on the reference host (README).
+constexpr double kRoundSeconds = 5.0;
 constexpr size_t kSamples = 250;
 // Per-estimate false-alarm rate of the Hoeffding check.
 constexpr double kAlarmRate = 1e-9;
@@ -22,7 +24,7 @@ struct ExactMcRequest {
   size_t query;
   size_t answer;
   bool mc;
-  std::string line;
+  Line line;
 };
 
 }  // namespace
@@ -37,11 +39,13 @@ RunResult RunExactMc(const Options& opt) {
   for (size_t a = 0; a < c.answers.size(); ++a) {
     for (size_t q = 0; q < c.queries.size(); ++q) {
       std::string query = c.queries[q].Text();
-      requests.push_back({q, a, false, QueryLine(query, c.answers[a], "exact", "")});
+      requests.push_back(
+          {q, a, false, {QueryLine(query, c.answers[a], "exact", ""), {"exact_ur", "exact_us"}}});
       for (size_t k = 0; k < 2; ++k) {
         std::string extra = "samples=" + std::to_string(kSamples) +
-                            " seed=" + std::to_string(RequestSeed(opt.seed, a * 100 + q * 10 + k));
-        requests.push_back({q, a, true, QueryLine(query, c.answers[a], "mc", extra)});
+                            " seed=" + std::to_string(RequestSeed(a * 100 + q * 10 + k));
+        requests.push_back(
+            {q, a, true, {QueryLine(query, c.answers[a], "mc", extra), {"mc_ur", "mc_us"}}});
       }
     }
   }
@@ -57,38 +61,17 @@ RunResult RunExactMc(const Options& opt) {
   auto service = std::make_unique<uocqa::QueryService>(parsed.db, parsed.keys);
   double setup_s = SecondsSince(setup_start);
 
-  std::vector<std::string> reference(requests.size());
-  LineTimes times(requests.size());
   std::vector<size_t> exact_lines, mc_lines;
   for (size_t r = 0; r < requests.size(); ++r) {
     (requests[r].mc ? mc_lines : exact_lines).push_back(r);
   }
+  Rounds rounds(opt, kRoundSeconds, requests.size());
   Tracer tracer;
   LayerTotals totals;
-  size_t rounds = 0;
-  Clock::time_point start = Clock::now();
-  for (; rounds == 0 || SecondsSince(start) < opt.seconds; ++rounds) {
-    if (rounds > 0) service = std::make_unique<uocqa::QueryService>(parsed.db, parsed.keys);
-    std::vector<double> round_latency(requests.size(), 0);
+  while (rounds.Next()) {
+    if (rounds.round() > 0) service = std::make_unique<uocqa::QueryService>(parsed.db, parsed.keys);
     for (size_t r = 0; r < requests.size(); ++r) {
-      const ExactMcRequest& req = requests[r];
-      Served s = Serve(service.get(), req.line);
-      ++result.attempted;
-      round_latency[r] = s.seconds;
-      times.Add(r, s.seconds);
-      std::map<std::string, std::string> f = PayloadFields(s.response.payload);
-      bool ok = s.response.status.ok() &&
-                (req.mc ? f.count("mc_ur") && f.count("mc_us")
-                        : f.count("exact_ur") && f.count("exact_us"));
-      if (!ok) {
-        ++result.failed;
-        continue;
-      }
-      if (rounds == 0) {
-        reference[r] = s.response.payload;
-      } else if (s.response.payload != reference[r]) {
-        result.Fail("payload changed between rounds: " + req.line);
-      }
+      rounds.Serve(r, service.get(), requests[r].line, &result);
     }
     if (!opt.trace) continue;
 
@@ -106,11 +89,11 @@ RunResult RunExactMc(const Options& opt) {
       double layer_s = 0;
       {
         Tracer::Scope root(&tracer, "request");
-        uocqa::Request rq = uocqa::ParseRequestLine(req.line).value();
+        uocqa::Request rq = uocqa::ParseRequestLine(req.line.text).value();
         bool ok = false;
         uocqa::ConjunctiveQuery q = TracedParseQuery(&tracer, rq.query_text, db->db, &ok);
         std::vector<uocqa::Value> answer = AnswerValues(rq.answer_text);
-        std::map<std::string, std::string> f = PayloadFields(reference[r]);
+        std::map<std::string, std::string> f = PayloadFields(rounds.reference(r));
         bool same = ok;
         if (ok && req.mc) {
           for (bool sequences : {false, true}) {
@@ -121,16 +104,17 @@ RunResult RunExactMc(const Options& opt) {
             same = same && got == want;
           }
         } else if (ok) {
+          tracer.Count("repairs.exact_requests", 1);
           for (bool sequences : {false, true}) {
             same = same && TracedExact(&tracer, db->db, db->keys, q, answer, sequences) ==
                                f[sequences ? "exact_us" : "exact_ur"];
           }
         }
-        if (!same) result.Fail("decomposed calls differ from the service: " + req.line);
+        if (!same) result.Fail("decomposed calls differ from the service: " + req.line.text);
         layer_s = root.ChildSeconds();
       }
       totals.traced_s += SecondsSince(t0);
-      totals.AddLine(round_latency[r], layer_s);
+      totals.AddLine(rounds.latency(r), layer_s);
     }
   }
 
@@ -143,21 +127,20 @@ RunResult RunExactMc(const Options& opt) {
   double hoeffding = std::sqrt(std::log(2 / kAlarmRate) / (2.0 * kSamples));
   for (size_t r = 0; r < requests.size(); ++r) {
     const ExactMcRequest& req = requests[r];
-    if (reference[r].empty()) continue;
+    const std::string& payload = rounds.reference(r);
+    if (payload.empty()) continue;
     auto key = std::make_pair(req.query, req.answer);
     if (!oracle.count(key)) {
       oracle[key] = OracleCount(c.instance, c.queries[req.query], {c.answers[req.answer]});
     }
     const OracleCounts& o = oracle[key];
-    std::map<std::string, std::string> f = PayloadFields(reference[r]);
+    std::map<std::string, std::string> f = PayloadFields(payload);
     if (req.mc) {
       double ur = -1, us = -1;
-      ParseDouble(f["mc_ur"], &ur);
-      ParseDouble(f["mc_us"], &us);
-      if (ur < 0 || ur > 1 || us < 0 || us > 1 || std::fabs(ur - o.rf_ur()) > hoeffding ||
+      if (!ParseDouble(f["mc_ur"], &ur) || !ParseDouble(f["mc_us"], &us) || ur < 0 || ur > 1 || us < 0 || us > 1 || std::fabs(ur - o.rf_ur()) > hoeffding ||
           std::fabs(us - o.rf_us()) > hoeffding) {
         result.Fail("mc estimate outside the Hoeffding bound " + std::to_string(hoeffding) +
-                    " of the oracle: " + reference[r]);
+                    " of the oracle: " + payload);
       }
       continue;
     }
@@ -166,7 +149,7 @@ RunResult RunExactMc(const Options& opt) {
         U128ToString(o.sequences_entailing) + "/" + U128ToString(o.sequences);
     if (f["exact_ur"] != want_ur || f["exact_us"] != want_us) {
       result.Fail("exact counts differ from the oracle (" + want_ur + ", " + want_us +
-                  "): " + reference[r]);
+                  "): " + payload);
     }
     // The payload's own numerators: zero together, and never above their
     // denominators.
@@ -177,8 +160,7 @@ RunResult RunExactMc(const Options& opt) {
     };
     if ((numerator_of(f["exact_ur"]) == "0") != (numerator_of(f["exact_us"]) == "0") ||
         !at_most_one(f["exact_ur"]) || !at_most_one(f["exact_us"])) {
-      result.Fail("RF_ur and RF_us numerators not zero together or outside [0,1]: " +
-                  reference[r]);
+      result.Fail("RF_ur and RF_us numerators not zero together or outside [0,1]: " + payload);
     }
   }
 
@@ -186,17 +168,15 @@ RunResult RunExactMc(const Options& opt) {
     result.metrics = LayerMetrics(tracer, totals);
     tracer.Write(opt.work_dir + "/spans-exact_mc.tsv");
   } else {
-    result.metrics = {
-        {"setup_s", setup_s, "s"},
-        {"requests_per_s", requests.size() / times.Sum(times.All()), "req/s"},
-        {"request_mean_ms", Mean(times.Mins(times.All())) * 1e3, "ms"},
-    };
+    result.metrics = rounds.EndToEnd(setup_s);
   }
-  result.info = {{"rounds", static_cast<double>(rounds), "count"},
+  const LineTimes& times = rounds.times();
+  result.info = {{"rounds", static_cast<double>(rounds.rounds()), "count"},
                  {"peak_rss_mb", peak_rss_mb, "MB"},
                  {"facts", static_cast<double>(parsed.db.size()), "count"},
                  {"exact_p50_ms", Median(times.Mins(exact_lines)) * 1e3, "ms"},
-                 {"mc_p50_ms", Median(times.Mins(mc_lines)) * 1e3, "ms"}};
+                 {"mc_p50_ms", Median(times.Mins(mc_lines)) * 1e3, "ms"},
+                 {"request_mean_ms", Mean(times.Mins(times.All())) * 1e3, "ms"}};
   return result;
 }
 

@@ -16,6 +16,8 @@ namespace perfbench {
 
 namespace {
 
+// Nominal length of one round on the reference host (README).
+constexpr double kRoundSeconds = 1.3;
 constexpr double kEpsilon = 0.2;
 constexpr double kDelta = 0.1;
 // False-alarm rate of the accuracy check over one run's requests.
@@ -24,7 +26,7 @@ constexpr double kAlarmRate = 1e-6;
 struct FprasRequest {
   size_t instance;
   size_t answer;
-  std::string line;
+  Line line;
   bool repeat;
 };
 
@@ -52,10 +54,11 @@ RunResult RunFpras(const Options& opt) {
       auto [answer, k] = asks[pos];
       std::string extra = "epsilon=" + std::to_string(kEpsilon) +
                           " delta=" + std::to_string(kDelta) +
-                          " seed=" + std::to_string(RequestSeed(opt.seed, i * 100 + answer * 10 + k));
-      per_instance[i].push_back({i, answer,
-                                 QueryLine(c.query.Text(), c.answers[answer], "fpras", extra),
-                                 pos + 1 == asks.size()});
+                          " seed=" + std::to_string(RequestSeed(i * 100 + answer * 10 + k));
+      per_instance[i].push_back(
+          {i, answer,
+           {QueryLine(c.query.Text(), c.answers[answer], "fpras", extra), {"fpras_ur", "fpras_us"}},
+           pos + 1 == asks.size()});
     }
   }
   std::vector<FprasRequest> requests;
@@ -78,39 +81,20 @@ RunResult RunFpras(const Options& opt) {
   }
   double setup_s = SecondsSince(setup_start);
 
-  std::vector<std::string> reference(requests.size());
-  LineTimes times(requests.size());
+  Rounds rounds(opt, kRoundSeconds, requests.size());
   Tracer tracer;
   LayerTotals totals;
-  size_t rounds = 0;
-  Clock::time_point start = Clock::now();
-  for (; rounds == 0 || SecondsSince(start) < opt.seconds; ++rounds) {
-    if (rounds > 0) {
+  while (rounds.Next()) {
+    if (rounds.round() > 0) {
       for (size_t i = 0; i < services.size(); ++i) {
         services[i] = std::make_unique<uocqa::QueryService>(parsed[i]->db, parsed[i]->keys);
       }
     }
-    std::vector<double> round_latency(requests.size(), 0);
     for (size_t r = 0; r < requests.size(); ++r) {
       const FprasRequest& req = requests[r];
-      Served s = Serve(services[req.instance].get(), req.line);
-      ++result.attempted;
-      round_latency[r] = s.seconds;
-      times.Add(r, s.seconds);
-      std::map<std::string, std::string> f = PayloadFields(s.response.payload);
-      double v = 0;
-      if (!s.response.status.ok() || !ParseDouble(f["fpras_ur"], &v) ||
-          !ParseDouble(f["fpras_us"], &v)) {
-        ++result.failed;
-        continue;
-      }
-      if (rounds == 0) {
-        reference[r] = s.response.payload;
-      } else if (s.response.payload != reference[r]) {
-        result.Fail("payload changed between rounds: " + req.line);
-      }
-      if (req.repeat && !s.response.cache_hit) {
-        result.Fail("verbatim repeat missed the result cache: " + req.line);
+      Served s = rounds.Serve(r, services[req.instance].get(), req.line, &result);
+      if (req.repeat && s.response.status.ok() && !s.response.cache_hit) {
+        result.Fail("verbatim repeat missed the result cache: " + req.line.text);
       }
     }
     if (!opt.trace) continue;
@@ -133,8 +117,8 @@ RunResult RunFpras(const Options& opt) {
       {
         Tracer::Scope root(&tracer, "request");
         // A verbatim repeat is a result-cache hit: no layer is called.
-        if (answered.insert({req.instance, req.line}).second) {
-          uocqa::Request rq = uocqa::ParseRequestLine(req.line).value();
+        if (answered.insert({req.instance, req.line.text}).second) {
+          uocqa::Request rq = uocqa::ParseRequestLine(req.line.text).value();
           bool ok = false;
           uocqa::ConjunctiveQuery q =
               TracedParseQuery(&tracer, rq.query_text, dbs[req.instance]->db, &ok);
@@ -145,19 +129,19 @@ RunResult RunFpras(const Options& opt) {
           config.seed_schema = rq.seed_schema;
           config.threads = 1;
           double ur = 0, us = 0;
-          std::map<std::string, std::string> f = PayloadFields(reference[r]);
+          std::map<std::string, std::string> f = PayloadFields(rounds.reference(r));
           double want_ur = -1, want_us = -1;
           ParseDouble(f["fpras_ur"], &want_ur);
           ParseDouble(f["fpras_us"], &want_us);
           if (!ok || !engines[req.instance]->Estimate(q, AnswerValues(rq.answer_text), config, &ur, &us) ||
               ur != want_ur || us != want_us) {
-            result.Fail("decomposed FPRAS differs from the service: " + req.line);
+            result.Fail("decomposed FPRAS differs from the service: " + req.line.text);
           }
         }
         layer_s = root.ChildSeconds();
       }
       totals.traced_s += SecondsSince(t0);
-      totals.AddLine(round_latency[r], layer_s);
+      totals.AddLine(rounds.latency(r), layer_s);
     }
   }
 
@@ -170,7 +154,8 @@ RunResult RunFpras(const Options& opt) {
   size_t trials = 0, misses = 0;
   for (size_t r = 0; r < requests.size(); ++r) {
     const FprasRequest& req = requests[r];
-    if (req.repeat || reference[r].empty()) continue;
+    const std::string& payload = rounds.reference(r);
+    if (req.repeat || payload.empty()) continue;
     const FprasCase& c = cases[req.instance];
     auto key = std::make_pair(req.instance, req.answer);
     if (!oracle.count(key)) {
@@ -185,20 +170,19 @@ RunResult RunFpras(const Options& opt) {
       if (!reps.ok() || !seqs.ok() ||
           reps->ToString() != U128ToString(oracle[key].repairs_entailing) ||
           seqs->ToString() != U128ToString(oracle[key].sequences_entailing)) {
-        result.Fail("automaton exact counts differ from the oracle: " + req.line);
+        result.Fail("automaton exact counts differ from the oracle: " + req.line.text);
       }
     }
     const OracleCounts& o = oracle[key];
-    std::map<std::string, std::string> f = PayloadFields(reference[r]);
-    double ur = 0, us = 0;
-    ParseDouble(f["fpras_ur"], &ur);
-    ParseDouble(f["fpras_us"], &us);
-    if ((ur == 0) != (us == 0) || ur < 0 || ur > 1 || us < 0 || us > 1) {
-      result.Fail("fpras_ur/fpras_us not zero together or outside [0,1]: " + reference[r]);
+    std::map<std::string, std::string> f = PayloadFields(payload);
+    double ur = -1, us = -1;
+    if (!ParseDouble(f["fpras_ur"], &ur) || !ParseDouble(f["fpras_us"], &us) ||
+        (ur == 0) != (us == 0) || ur < 0 || ur > 1 || us < 0 || us > 1) {
+      result.Fail("fpras_ur/fpras_us malformed, not zero together or outside [0,1]: " + payload);
     }
     for (auto [est, rf] : {std::make_pair(ur, o.rf_ur()), std::make_pair(us, o.rf_us())}) {
       if (rf == 0) {
-        if (est != 0) result.Fail("nonzero FPRAS estimate of RF = 0: " + req.line);
+        if (est != 0) result.Fail("nonzero FPRAS estimate of RF = 0: " + req.line.text);
         continue;
       }
       ++trials;
@@ -215,15 +199,13 @@ RunResult RunFpras(const Options& opt) {
     result.metrics = LayerMetrics(tracer, totals);
     tracer.Write(opt.work_dir + "/spans-fpras.tsv");
   } else {
-    result.metrics = {
-        {"setup_s", setup_s, "s"},
-        {"requests_per_s", requests.size() / times.Sum(times.All()), "req/s"},
-        {"request_mean_ms", Mean(times.Mins(times.All())) * 1e3, "ms"},
-    };
+    result.metrics = rounds.EndToEnd(setup_s);
   }
-  result.info = {{"rounds", static_cast<double>(rounds), "count"},
+  const LineTimes& times = rounds.times();
+  result.info = {{"rounds", static_cast<double>(rounds.rounds()), "count"},
                  {"peak_rss_mb", peak_rss_mb, "MB"},
                  {"fpras_p50_ms", Median(times.Mins(times.All())) * 1e3, "ms"},
+                 {"request_mean_ms", Mean(times.Mins(times.All())) * 1e3, "ms"},
                  {"fpras_estimates_checked", static_cast<double>(trials), "count"},
                  {"fpras_estimates_outside_epsilon", static_cast<double>(misses), "count"}};
   return result;

@@ -1,6 +1,6 @@
 #include "gen.h"
 
-#include <unordered_set>
+#include <cstdio>
 
 #include "common.h"
 
@@ -8,21 +8,24 @@ namespace perfbench {
 
 namespace {
 
-/// Fresh, unique constant names drawn from the run seed.
+/// Fresh constant names: a running number, so that names sort in the order
+/// they are made whatever the seed, then letters drawn from the run seed.
+/// Renaming alone then changes neither the interning order nor any
+/// lexicographic order the program derives from the constants.
 class Names {
  public:
-  explicit Names(SplitMix* rng) : rng_(rng) {}
+  explicit Names(uint64_t seed) : rng_(seed) {}
   std::string Fresh() {
-    for (;;) {
-      std::string s = "c";
-      for (int i = 0; i < 7; ++i) s += static_cast<char>('a' + rng_->Below(26));
-      if (used_.insert(s).second) return s;
-    }
+    char number[16];
+    std::snprintf(number, sizeof(number), "c%05zu", next_++);
+    std::string s = number;
+    for (int i = 0; i < 4; ++i) s += static_cast<char>('a' + rng_.Below(26));
+    return s;
   }
 
  private:
-  SplitMix* rng_;
-  std::unordered_set<std::string> used_;
+  SplitMix rng_;
+  size_t next_ = 0;
 };
 
 /// Appends the block rel(key, live), rel(key, <fresh>)... of `size` facts:
@@ -90,21 +93,20 @@ std::string GenQuery::Text() const {
   return s;
 }
 
-uint64_t RequestSeed(uint64_t run_seed, uint64_t salt) {
-  SplitMix rng(run_seed * 0x100000001b3ull + salt);
-  return 1 + rng.Next() % 1000000;
-}
+// The shape of every run: block structure, fact order and the bystander
+// picks come from these fixed streams, and the run seed only renames
+// constants. The work of a run is then the same at every seed.
+constexpr uint64_t kFprasShape = 0x66707261, kExactMcShape = 0x65786163, kLiveShape = 0x6c697665;
 
-// Block sizes per witness answer and hop. The Seq[k] automaton grows
-// steeply with the number of facts and block sizes, and its FPRAS dominates
-// a request: these sizes put a real request at 0.1-0.3 s, so a run holds
-// many rounds.
-static const size_t kFprasBlockSizes[1][3] = {{2, 2, 2}};
+// The three blocks of size 2 on each planted witness. The Seq[k] automaton
+// grows steeply with the number of facts and block sizes, and its FPRAS
+// dominates a request: this size puts a witness request at 0.05-0.25 s.
+constexpr size_t kFprasBlock = 2;
 
 std::vector<FprasCase> MakeFprasCases(uint64_t seed) {
   std::vector<FprasCase> out;
-  SplitMix rng(seed ^ 0x66707261ull);
-  Names names(&rng);
+  SplitMix layout(kFprasShape);
+  Names names(seed);
   for (const char* shape : {"chain", "star", "triangle"}) {
     FprasCase c;
     c.shape = shape;
@@ -120,25 +122,23 @@ std::vector<FprasCase> MakeFprasCases(uint64_t seed) {
       c.instance.keys = KeyFirst({"R", "S", "T"});
     }
     GenInstance& inst = c.instance;
-    for (const auto& sizes : kFprasBlockSizes) {
-      std::string a = names.Fresh();
-      c.answers.push_back(a);
-      if (s == "chain") {
-        std::string b = names.Fresh(), cc = names.Fresh();
-        AddBlock(&inst, "R", a, b, sizes[0], &names);
-        AddBlock(&inst, "S", b, cc, sizes[1], &names);
-        AddBlock(&inst, "T", cc, names.Fresh(), sizes[2], &names);
-      } else if (s == "star") {
-        AddBlock(&inst, "A", a, names.Fresh(), sizes[0], &names);
-        AddBlock(&inst, "B", a, names.Fresh(), sizes[1], &names);
-        AddBlock(&inst, "C", a, names.Fresh(), sizes[2], &names);
-      } else {
-        // Only the live fact of the T-block closes the triangle.
-        std::string b = names.Fresh(), cc = names.Fresh();
-        AddBlock(&inst, "R", a, b, sizes[0], &names);
-        AddBlock(&inst, "S", b, cc, sizes[1], &names);
-        AddBlock(&inst, "T", cc, a, sizes[2], &names);
-      }
+    std::string a = names.Fresh();
+    c.answers.push_back(a);
+    if (s == "chain") {
+      std::string b = names.Fresh(), cc = names.Fresh();
+      AddBlock(&inst, "R", a, b, kFprasBlock, &names);
+      AddBlock(&inst, "S", b, cc, kFprasBlock, &names);
+      AddBlock(&inst, "T", cc, names.Fresh(), kFprasBlock, &names);
+    } else if (s == "star") {
+      AddBlock(&inst, "A", a, names.Fresh(), kFprasBlock, &names);
+      AddBlock(&inst, "B", a, names.Fresh(), kFprasBlock, &names);
+      AddBlock(&inst, "C", a, names.Fresh(), kFprasBlock, &names);
+    } else {
+      // Only the live fact of the T-block closes the triangle.
+      std::string b = names.Fresh(), cc = names.Fresh();
+      AddBlock(&inst, "R", a, b, kFprasBlock, &names);
+      AddBlock(&inst, "S", b, cc, kFprasBlock, &names);
+      AddBlock(&inst, "T", cc, a, kFprasBlock, &names);
     }
     // The RF = 0 candidate: a partial witness that never completes.
     std::string a0 = names.Fresh();
@@ -154,10 +154,15 @@ std::vector<FprasCase> MakeFprasCases(uint64_t seed) {
       AddBlock(&inst, "S", b0, c0, 1, &names);
       AddBlock(&inst, "T", c0, names.Fresh(), 1, &names);
     }
-    rng.Shuffle(&inst.facts);
+    layout.Shuffle(&inst.facts);
     out.push_back(std::move(c));
   }
   return out;
+}
+
+uint64_t RequestSeed(uint64_t salt) {
+  SplitMix rng(salt * 0x100000001b3ull);
+  return 1 + rng.Next() % 1000000;
 }
 
 // exact_mc: consistent filler over the query relations R, S, P, two
@@ -174,8 +179,8 @@ static const size_t kExactMcFillR = 120, kExactMcFillS = 80,
 
 ExactMcCase MakeExactMcCase(uint64_t seed) {
   ExactMcCase c;
-  SplitMix rng(seed ^ 0x65786163ull);
-  Names names(&rng);
+  SplitMix layout(kExactMcShape);
+  Names names(seed);
   GenInstance& inst = c.instance;
   inst.keys = KeyFirst({"R", "S", "P", "U", "V"});
   std::vector<std::string> ys;
@@ -186,7 +191,7 @@ ExactMcCase MakeExactMcCase(uint64_t seed) {
   std::vector<std::string> xs;
   for (size_t i = 0; i < kExactMcFillR; ++i) {
     xs.push_back(names.Fresh());
-    inst.facts.push_back({"R", {xs.back(), ys[rng.Below(ys.size())]}});
+    inst.facts.push_back({"R", {xs.back(), ys[layout.Below(ys.size())]}});
   }
   for (size_t i = 0; i < kExactMcFillP; ++i) {
     inst.facts.push_back({"P", {xs[i], names.Fresh()}});
@@ -208,7 +213,7 @@ ExactMcCase MakeExactMcCase(uint64_t seed) {
   std::string a0 = names.Fresh();
   c.answers.push_back(a0);
   inst.facts.push_back({"R", {a0, names.Fresh()}});
-  rng.Shuffle(&inst.facts);
+  layout.Shuffle(&inst.facts);
   c.queries.push_back(MakeQuery({{"R", {"x", "y"}}, {"S", {"y", "z"}}}));
   c.queries.push_back(MakeQuery({{"R", {"x", "y"}}, {"P", {"x", "u"}}}));
   return c;
@@ -224,8 +229,8 @@ static const size_t kLiveBaseChains = 150, kLiveBaseU = 100, kLiveDeltas = 9,
 
 LiveCase MakeLiveCase(uint64_t seed) {
   LiveCase c;
-  SplitMix rng(seed ^ 0x6c697665ull);
-  Names names(&rng);
+  SplitMix layout(kLiveShape);
+  Names names(seed);
   c.base.keys = KeyFirst({"R", "S", "U"});
   std::vector<std::string> xs, ys;
   for (size_t i = 0; i < kLiveBaseChains; ++i) {
@@ -237,7 +242,7 @@ LiveCase MakeLiveCase(uint64_t seed) {
   for (size_t i = 0; i < kLiveBaseU; ++i) {
     c.base.facts.push_back({"U", {names.Fresh(), names.Fresh()}});
   }
-  rng.Shuffle(&c.base.facts);
+  layout.Shuffle(&c.base.facts);
   for (size_t i = 0; i < kLiveProbes; ++i) c.probe_answers.push_back(xs[i]);
   c.probe_query = MakeQuery({{"R", {"x", "y"}}, {"S", {"y", "z"}}});
   for (size_t d = 0; d < kLiveDeltas; ++d) {
@@ -247,17 +252,17 @@ LiveCase MakeLiveCase(uint64_t seed) {
       // One new fact in a probed answer's R-block, so the probes' RF moves.
       delta.push_back({"R", {xs[d % kLiveProbes], names.Fresh()}});
       for (size_t i = 1; i < kLiveConflictR; ++i) {
-        delta.push_back({"R", {xs[kLiveProbes + rng.Below(xs.size() - kLiveProbes)],
-                               ys[rng.Below(ys.size())]}});
+        delta.push_back({"R", {xs[kLiveProbes + layout.Below(xs.size() - kLiveProbes)],
+                               ys[layout.Below(ys.size())]}});
       }
       for (size_t i = 0; i < kLiveConflictS; ++i) {
-        delta.push_back({"S", {ys[rng.Below(ys.size())], names.Fresh()}});
+        delta.push_back({"S", {ys[layout.Below(ys.size())], names.Fresh()}});
       }
     }
     while (delta.size() < kLiveDeltaFacts) {
       delta.push_back({"U", {names.Fresh(), names.Fresh()}});
     }
-    rng.Shuffle(&delta);
+    layout.Shuffle(&delta);
     c.deltas.push_back(std::move(delta));
     c.delta_conflicts.push_back(conflicts);
   }

@@ -1,8 +1,9 @@
-// The benchmark's input generator. Every workload has a fixed shape (block
-// sizes, fact counts, request mix); the seed only renames constants,
-// shuffles fact order and picks the request seeds. That keeps the work of a
-// run nearly independent of the seed, which is what makes runs at different
-// seeds comparable, while no two seeds feed the program the same text.
+// The benchmark's input generator. Every workload has a fixed shape: block
+// sizes, fact counts and order, and the request mix with its request seeds.
+// The run seed only renames constants, and the names keep their order. So
+// the work of a run is the same at every seed, which makes runs at
+// different seeds comparable, while no two seeds feed the program the same
+// text.
 #ifndef PERFBENCH_GEN_H_
 #define PERFBENCH_GEN_H_
 
@@ -71,8 +72,10 @@ struct LiveCase {
 };
 LiveCase MakeLiveCase(uint64_t seed);
 
-/// Derives a request seed (a small positive integer) from the run seed.
-uint64_t RequestSeed(uint64_t run_seed, uint64_t salt);
+/// A fixed request seed (a small positive integer) per salt. It does not
+/// depend on the run seed: the randomized algorithms' work stays the same
+/// at every run seed.
+uint64_t RequestSeed(uint64_t salt);
 
 }  // namespace perfbench
 

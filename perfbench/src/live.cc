@@ -22,6 +22,8 @@ namespace perfbench {
 
 namespace {
 
+// Nominal length of one round on the reference host (README).
+constexpr double kRoundSeconds = 3.0;
 constexpr size_t kSamples = 64;
 
 enum class OpKind { kAdd, kSnapshot, kProbe };
@@ -30,7 +32,7 @@ struct LiveOp {
   OpKind kind;
   size_t delta;          // the delta this op belongs to (or follows)
   const GenFact* fact;   // kAdd only
-  std::string line;
+  Line line;
 };
 
 /// Removes a directory tree when it goes out of scope.
@@ -79,40 +81,42 @@ RunResult RunLive(const Options& opt) {
     for (const GenFact& f : c.deltas[d]) {
       std::string args;
       for (const std::string& a : f.args) args += (args.empty() ? "" : ",") + a;
-      ops.push_back({OpKind::kAdd, d, &f, "add_fact rel=" + f.rel + " args='" + args + "'"});
+      ops.push_back({OpKind::kAdd, d, &f, {"add_fact rel=" + f.rel + " args='" + args + "'", {}}});
       ++ingested;
     }
-    ops.push_back({OpKind::kSnapshot, d, nullptr, "begin_snapshot"});
+    ops.push_back({OpKind::kSnapshot, d, nullptr, {"begin_snapshot", {}}});
     for (size_t i = 0; i < c.probe_answers.size(); ++i) {
       std::string extra = "samples=" + std::to_string(kSamples) +
-                          " seed=" + std::to_string(RequestSeed(opt.seed, i));
+                          " seed=" + std::to_string(RequestSeed(i));
       ops.push_back({OpKind::kProbe, d, nullptr,
-                     QueryLine(c.probe_query.Text(), c.probe_answers[i], "mc", extra)});
+                     {QueryLine(c.probe_query.Text(), c.probe_answers[i], "mc", extra),
+                      {"mc_ur", "mc_us"}}});
     }
   }
   std::string dir_prefix = opt.work_dir + "/live-" + std::to_string(getpid()) + "-";
 
   // Set-up: parse the base, build the LiveInstance, open its fresh WAL and
-  // construct the service.
+  // construct the service. Returns the seconds the WAL open took: its
+  // header sync waits on the disk, about 0.5 ms on a quiet host and up to
+  // 20 ms on a busy one, so setup_s leaves it out and prints it apart.
   auto open_stack = [&](const std::string& wal_path, LiveStack* stack) {
     stack->live = LoadBase(base_text);
+    Clock::time_point wal_start = Clock::now();
     uocqa::Result<uocqa::WalRecoveryInfo> info = uocqa::RecoverAndAttachWal(
         wal_path, uocqa::WalSyncPolicy::kBatch, stack->live.get(), nullptr);
+    double wal_open_s = SecondsSince(wal_start);
     if (!info.ok()) throw std::runtime_error("WAL open failed: " + info.status().ToString());
     stack->service = std::make_unique<uocqa::QueryService>(*stack->live);
+    return wal_open_s;
   };
   std::unique_ptr<TempDir> dir = std::make_unique<TempDir>(dir_prefix + "0");
   LiveStack stack;
   Clock::time_point setup_start = Clock::now();
-  open_stack(dir->path + "/wal.log", &stack);
-  double setup_s = SecondsSince(setup_start);
+  double wal_open_s = open_stack(dir->path + "/wal.log", &stack);
+  double setup_s = SecondsSince(setup_start) - wal_open_s;
 
-  std::vector<std::string> reference(ops.size());
   std::shared_ptr<const uocqa::InstanceSnapshot> checked_state;  // round 0's end
   uocqa::KeySet checked_keys;
-  std::vector<char> reference_hit(ops.size(), 0);
-  // Line ops.size() is the closing restart.
-  LineTimes times(ops.size() + 1);
   std::vector<size_t> probe_lines, snapshot_lines, ingest_lines;
   for (size_t r = 0; r < ops.size(); ++r) {
     if (ops[r].kind == OpKind::kProbe) {
@@ -124,53 +128,38 @@ RunResult RunLive(const Options& opt) {
   }
   std::vector<double> recoveries;
   double wal_bytes = 0;
+  // Operation ops.size() of a round is the closing restart.
+  Rounds rounds(opt, kRoundSeconds, ops.size() + 1);
   Tracer tracer;
   LayerTotals totals;
-  size_t rounds = 0;
-  Clock::time_point start = Clock::now();
-  for (; rounds == 0 || SecondsSince(start) < opt.seconds; ++rounds) {
-    if (rounds > 0) {
-      dir = std::make_unique<TempDir>(dir_prefix + std::to_string(rounds));
+  while (rounds.Next()) {
+    if (rounds.round() > 0) {
+      dir = std::make_unique<TempDir>(dir_prefix + std::to_string(rounds.round()));
       open_stack(dir->path + "/wal.log", &stack);
     }
     std::string wal_path = dir->path + "/wal.log";
-    std::vector<double> round_latency(ops.size(), 0);
     for (size_t r = 0; r < ops.size(); ++r) {
       const LiveOp& op = ops[r];
-      Served s = Serve(stack.service.get(), op.line);
-      ++result.attempted;
-      round_latency[r] = s.seconds;
-      times.Add(r, s.seconds);
-      if (!s.response.status.ok()) {
-        ++result.failed;
-        continue;
+      Served s = rounds.Serve(r, stack.service.get(), op.line, &result);
+      if (op.kind != OpKind::kProbe || !s.response.status.ok()) continue;
+      std::map<std::string, std::string> f = PayloadFields(s.response.payload);
+      double ur = -1, us = -1;
+      if (!ParseDouble(f["mc_ur"], &ur) || !ParseDouble(f["mc_us"], &us) || ur < 0 || ur > 1 ||
+          us < 0 || us > 1) {
+        result.Fail("probe payload malformed or outside [0,1]: " + s.response.payload);
       }
-      if (op.kind == OpKind::kProbe) {
-        std::map<std::string, std::string> f = PayloadFields(s.response.payload);
-        double ur = -1, us = -1;
-        if (!ParseDouble(f["mc_ur"], &ur) || !ParseDouble(f["mc_us"], &us) || ur < 0 ||
-            ur > 1 || us < 0 || us > 1) {
-          result.Fail("probe payload malformed or outside [0,1]: " + s.response.payload);
-        }
-        // A probe survives a delta that left its footprint and the
-        // conflict structure untouched, and only such a delta.
-        if (s.response.cache_hit == c.delta_conflicts[op.delta]) {
-          result.Fail(std::string("probe after a ") +
-                      (c.delta_conflicts[op.delta] ? "conflicting delta hit" : "bystander delta missed") +
-                      " the result cache: " + op.line);
-        }
-      }
-      if (rounds == 0) {
-        reference[r] = s.response.payload;
-        reference_hit[r] = s.response.cache_hit;
-      } else if (s.response.payload != reference[r]) {
-        result.Fail("payload changed between rounds: " + op.line);
+      // A probe survives a delta that left its footprint and the conflict
+      // structure untouched, and only such a delta.
+      if (s.response.cache_hit == c.delta_conflicts[op.delta]) {
+        result.Fail(std::string("probe after a ") +
+                    (c.delta_conflicts[op.delta] ? "conflicting delta hit" : "bystander delta missed") +
+                    " the result cache: " + op.line.text);
       }
     }
 
     // Restart: drop the instance, recover a fresh one from the log.
     std::shared_ptr<const uocqa::InstanceSnapshot> final_state = stack.live->Current();
-    if (rounds == 0) checked_keys = stack.live->keys();
+    if (rounds.round() == 0) checked_keys = stack.live->keys();
     stack = LiveStack();
     wal_bytes = static_cast<double>(std::filesystem::file_size(wal_path));
     LiveStack recovered;
@@ -180,19 +169,17 @@ RunResult RunLive(const Options& opt) {
         wal_path, uocqa::WalSyncPolicy::kBatch, recovered.live.get(), nullptr);
     if (info.ok()) recovered.service = std::make_unique<uocqa::QueryService>(*recovered.live);
     double restart_s = SecondsSince(restart_start);
-    ++result.attempted;
-    times.Add(ops.size(), restart_s);
+    rounds.Record(ops.size(), restart_s, info.ok(), &result);
     recoveries.push_back(restart_s);
     std::shared_ptr<const uocqa::InstanceSnapshot> back = recovered.live->Current();
-    if (!info.ok()) {
-      ++result.failed;
-    } else if (back->epoch != final_state->epoch || back->db->size() != final_state->db->size() ||
-               back->fingerprint != final_state->fingerprint) {
+    if (info.ok() &&
+        (back->epoch != final_state->epoch || back->db->size() != final_state->db->size() ||
+         back->fingerprint != final_state->fingerprint)) {
       result.Fail("recovered instance differs from the live one");
     }
     recovered = LiveStack();
 
-    if (rounds == 0) checked_state = final_state;
+    if (rounds.round() == 0) checked_state = final_state;
     if (!opt.trace) continue;
 
     // Traced replay: the same lines through LiveInstance, WalWriter and the
@@ -239,27 +226,27 @@ RunResult RunLive(const Options& opt) {
           }
           Tracer::Scope sync(&tracer, "wal.sync");
           if (!writer->BarrierSync().ok()) result.Fail("WAL sync failed");
-        } else if (!reference_hit[r]) {
+        } else if (!rounds.reference_hit(r)) {
           // A cached probe calls no layer; the others re-run Monte-Carlo.
-          uocqa::Request rq = uocqa::ParseRequestLine(op.line).value();
+          uocqa::Request rq = uocqa::ParseRequestLine(op.line.text).value();
           bool ok = false;
           const uocqa::Database& db = *prev->db;
           uocqa::ConjunctiveQuery q = TracedParseQuery(&tracer, rq.query_text, db, &ok);
           std::vector<uocqa::Value> answer = AnswerValues(rq.answer_text);
-          std::map<std::string, std::string> f = PayloadFields(reference[r]);
+          std::map<std::string, std::string> f = PayloadFields(rounds.reference(r));
           for (bool sequences : {false, true}) {
             double want = -1;
             ParseDouble(f[sequences ? "mc_us" : "mc_ur"], &want);
             if (!ok || TracedMonteCarlo(&tracer, db, live->keys(), q, answer, rq.samples, rq.seed,
                                         sequences) != want) {
-              result.Fail("decomposed Monte-Carlo differs from the service: " + op.line);
+              result.Fail("decomposed Monte-Carlo differs from the service: " + op.line.text);
             }
           }
         }
         layer_s = root.ChildSeconds();
       }
       totals.traced_s += SecondsSince(t0);
-      totals.AddLine(round_latency[r], layer_s);
+      totals.AddLine(rounds.latency(r), layer_s);
       if (op.kind != OpKind::kSnapshot) continue;
       // The publish's delta maintenance, re-done from the benchmark on the
       // same delta: a share of live.snapshot, checked against its result.
@@ -321,49 +308,48 @@ RunResult RunLive(const Options& opt) {
   double peak_rss_mb = PeakRssMb();
 
   // Checks on round 0 (later rounds repeated its payloads byte for byte).
-    // A fresh load of the base plus every ingested fact.
-    uocqa::ParsedInstance fresh = uocqa::ParseInstanceText(InstanceUpTo(c, c.deltas.size())).value();
-    if (checked_state->epoch != c.deltas.size() || fresh.db.size() != checked_state->db->size() ||
-        uocqa::InstanceFingerprint(fresh.db, fresh.keys) != checked_state->fingerprint) {
-      result.Fail("live instance differs from a fresh load of the same facts");
+  // A fresh load of the base plus every ingested fact.
+  uocqa::ParsedInstance fresh = uocqa::ParseInstanceText(InstanceUpTo(c, c.deltas.size())).value();
+  if (checked_state->epoch != c.deltas.size() || fresh.db.size() != checked_state->db->size() ||
+      uocqa::InstanceFingerprint(fresh.db, fresh.keys) != checked_state->fingerprint) {
+    result.Fail("live instance differs from a fresh load of the same facts");
+  }
+  // Delta-maintained denominators against a full recompute.
+  uocqa::BlockPartition blocks = uocqa::BlockPartition::Compute(*checked_state->db, checked_keys);
+  if (uocqa::CountOperationalRepairs(blocks).ToString() !=
+          checked_state->denominators->orep().ToString() ||
+      uocqa::CountCompleteSequencesExact(blocks).ToString() !=
+          checked_state->denominators->crs().ToString()) {
+    result.Fail("delta-maintained |ORep| or |CRS| differs from a full recompute");
+  }
+  // Every cached probe against a static service over a fresh load of
+  // the same epoch.
+  for (size_t r = 0; r < ops.size(); ++r) {
+    if (ops[r].kind != OpKind::kProbe || !rounds.reference_hit(r)) continue;
+    uocqa::ParsedInstance at = uocqa::ParseInstanceText(InstanceUpTo(c, ops[r].delta + 1)).value();
+    uocqa::QueryService fresh_service(at.db, at.keys);
+    Served s = Serve(&fresh_service, ops[r].line.text);
+    if (s.response.payload != rounds.reference(r)) {
+      result.Fail("cached probe differs from a fresh load of its epoch: " + ops[r].line.text);
     }
-    // Delta-maintained denominators against a full recompute.
-    uocqa::BlockPartition blocks = uocqa::BlockPartition::Compute(*checked_state->db, checked_keys);
-    if (uocqa::CountOperationalRepairs(blocks).ToString() !=
-            checked_state->denominators->orep().ToString() ||
-        uocqa::CountCompleteSequencesExact(blocks).ToString() !=
-            checked_state->denominators->crs().ToString()) {
-      result.Fail("delta-maintained |ORep| or |CRS| differs from a full recompute");
-    }
-    // Every cached probe against a static service over a fresh load of
-    // the same epoch.
-    for (size_t r = 0; r < ops.size(); ++r) {
-      if (ops[r].kind != OpKind::kProbe || !reference_hit[r]) continue;
-      uocqa::ParsedInstance at = uocqa::ParseInstanceText(InstanceUpTo(c, ops[r].delta + 1)).value();
-      uocqa::QueryService fresh_service(at.db, at.keys);
-      Served s = Serve(&fresh_service, ops[r].line);
-      if (s.response.payload != reference[r]) {
-        result.Fail("cached probe differs from a fresh load of its epoch: " + ops[r].line);
-      }
-    }
+  }
 
   if (opt.trace) {
     result.metrics = LayerMetrics(tracer, totals);
     tracer.Write(opt.work_dir + "/spans-live.tsv");
   } else {
-    result.metrics = {
-        {"setup_s", setup_s, "s"},
-        {"requests_per_s", (ops.size() + 1) / times.Sum(times.All()), "req/s"},
-        {"request_mean_ms", Mean(times.Mins(probe_lines)) * 1e3, "ms"},
-    };
+    result.metrics = rounds.EndToEnd(setup_s);
   }
-  result.info = {{"rounds", static_cast<double>(rounds), "count"},
+  const LineTimes& times = rounds.times();
+  result.info = {{"rounds", static_cast<double>(rounds.rounds()), "count"},
                  {"peak_rss_mb", peak_rss_mb, "MB"},
                  {"mc_p50_ms", Median(times.Mins(probe_lines)) * 1e3, "ms"},
+                 {"request_mean_ms", Mean(times.Mins(probe_lines)) * 1e3, "ms"},
                  {"ingest_facts_per_s", ingested / times.Sum(ingest_lines), "facts/s"},
                  {"snapshot_p50_ms", Median(times.Mins(snapshot_lines)) * 1e3, "ms"},
                  {"recovery_s", Median(recoveries), "s"},
-                 {"wal_bytes_per_fact", wal_bytes / ingested, "B"}};
+                 {"wal_bytes_per_fact", wal_bytes / ingested, "B"},
+                 {"wal_open_ms", wal_open_s * 1e3, "ms"}};
   return result;
 }
 

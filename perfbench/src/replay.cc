@@ -70,8 +70,16 @@ std::string TracedExact(Tracer* tracer, const Database& db, const KeySet& keys,
                      : uocqa::CountRepairsEntailing(db, keys, query, answer, &order);
   }();
   BigInt denominator = TracedDenominator(tracer, db, keys, sequences);
-  // Both enumerations visit every operational repair once.
-  if (!sequences) tracer->Count("repairs.repairs_enumerated", 2 * denominator.ToDouble());
+  // The repairs that call's enumeration visits: ForEachRepair over the same
+  // partition, with a callback that only counts, outside the timed spans.
+  double visited = 0;
+  uocqa::ForEachRepair(uocqa::BlockPartition::Compute(db, keys),
+                       [&](const std::vector<uocqa::BlockOutcome>&,
+                           const std::vector<uocqa::FactId>&) {
+                         ++visited;
+                         return true;
+                       });
+  tracer->Count("repairs.repairs_enumerated", visited);
   return numerator.ToString() + "/" + denominator.ToString();
 }
 

@@ -35,6 +35,51 @@ std::vector<size_t> LineTimes::All() const {
   return out;
 }
 
+Rounds::Rounds(const Options& opt, double round_seconds, size_t ops)
+    : planned_(std::max<size_t>(1, static_cast<size_t>(std::lround(opt.seconds / round_seconds)))),
+      max_seconds_(3 * opt.seconds),
+      times_(ops),
+      latency_(ops),
+      reference_(ops),
+      reference_hit_(ops) {}
+
+bool Rounds::Next() {
+  if (started_ == planned_ || (started_ > 0 && SecondsSince(start_) > max_seconds_)) return false;
+  ++started_;
+  return true;
+}
+
+Served Rounds::Serve(size_t r, uocqa::QueryService* service, const Line& line,
+                     RunResult* result) {
+  Served s = perfbench::Serve(service, line.text);
+  bool ok = s.response.status.ok();
+  if (ok) {
+    std::map<std::string, std::string> f = PayloadFields(s.response.payload);
+    for (const std::string& field : line.fields) ok = ok && !f[field].empty();
+  }
+  Record(r, s.seconds, ok, result);
+  if (!ok) return s;
+  if (round() == 0) {
+    reference_[r] = s.response.payload;
+    reference_hit_[r] = s.response.cache_hit;
+  } else if (s.response.payload != reference_[r]) {
+    result->Fail("payload changed between rounds: " + line.text);
+  }
+  return s;
+}
+
+void Rounds::Record(size_t r, double seconds, bool ok, RunResult* result) {
+  ++result->attempted;
+  if (!ok) ++result->failed;
+  latency_[r] = seconds;
+  times_.Add(r, seconds);
+}
+
+std::vector<Metric> Rounds::EndToEnd(double setup_s) const {
+  return {{"setup_s", setup_s, "s"},
+          {"requests_per_s", latency_.size() / times_.Sum(times_.All()), "req/s"}};
+}
+
 std::string QueryLine(const std::string& query, const std::string& answer,
                       const std::string& mode, const std::string& extra) {
   std::string line = "query='" + query + "' answer=" + answer + " mode=" + mode;
@@ -115,7 +160,7 @@ std::vector<Metric> LayerMetrics(const Tracer& tracer, const LayerTotals& totals
       {"repairs.sample_us_us", mean("repairs.sample_us", us), "us"},
       {"repairs.enumerate_ms", mean("repairs.enumerate", ms), "ms"},
       {"repairs.repairs_enumerated",
-       per("repairs.repairs_enumerated", calls("repairs.enumerate") / 2), "count"},
+       per("repairs.repairs_enumerated", tracer.Counter("repairs.exact_requests")), "count"},
       {"service.execute_self_us", Median(totals.service_self_s) * us, "us"},
       {"service.result_cache_hit_ratio", ratio(totals.result_hits, totals.result_lookups),
        "ratio"},

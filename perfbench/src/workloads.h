@@ -1,9 +1,8 @@
 // The three workloads. Each runs in one process with one closed-loop
 // client: the next protocol line is sent only after the previous one has
-// returned, and every call runs at one lane. A run replays whole rounds of
-// the same operations until --seconds have passed; every round starts from
-// a fresh service, so each round does identical work and a run's figures
-// do not depend on how many rounds fit.
+// returned, and every call runs at one lane. A run serves a fixed number of
+// whole rounds of the same operations; every round starts from a fresh
+// service, so each round does identical work.
 #ifndef PERFBENCH_WORKLOADS_H_
 #define PERFBENCH_WORKLOADS_H_
 
@@ -39,23 +38,79 @@ struct Served {
 };
 Served Serve(uocqa::QueryService* service, const std::string& line);
 
-/// Latencies of a round's lines, kept per line across rounds. Rounds repeat
-/// the same work, and load from other tenants of a shared host only ever
-/// slows a line down, so each line's fastest round is the steadiest estimate
-/// of its cost; the metrics are taken from these minima.
+/// Latencies of a round's operations, kept per operation across rounds.
+/// Rounds repeat the same work, and load from other tenants of a shared
+/// host only ever slows an operation down, so each operation's fastest
+/// round is the steadiest estimate of its cost; the metrics are taken from
+/// these minima.
 class LineTimes {
  public:
   explicit LineTimes(size_t lines) : per_line_(lines) {}
   void Add(size_t line, double seconds) { per_line_[line].push_back(seconds); }
-  /// Each listed line's minimum over rounds.
+  /// Each listed operation's minimum over rounds.
   std::vector<double> Mins(const std::vector<size_t>& lines) const;
-  /// Summed minimum of the listed lines, in seconds.
+  /// Summed minimum of the listed operations, in seconds.
   double Sum(const std::vector<size_t>& lines) const;
-  /// All line indices.
+  /// All operation indices.
   std::vector<size_t> All() const;
 
  private:
   std::vector<std::vector<double>> per_line_;
+};
+
+/// One protocol line of a round and the payload fields its response must
+/// carry; a response without them counts as failed.
+struct Line {
+  std::string text;
+  std::vector<std::string> fields;
+};
+
+/// The untraced serving loop every workload shares. A run serves whole
+/// rounds of the same operations, each round from a fresh service, so
+/// `failed` is the same share of `attempted` in every run. The number of
+/// rounds is fixed by --seconds and the workload's nominal round length,
+/// not by the clock, so a faster or slower program is measured over as many
+/// rounds as the parent was. Round 0's payloads are the reference that every
+/// later round must repeat byte for byte.
+class Rounds {
+ public:
+  /// `ops` timed operations per round. `round_seconds` is the workload's
+  /// nominal round length: the run serves --seconds / round_seconds rounds,
+  /// at least one.
+  Rounds(const Options& opt, double round_seconds, size_t ops);
+  /// Starts the next round. False once the planned rounds are done, or once
+  /// a much slower program has run for three times --seconds, so that a run
+  /// still ends in bounded time.
+  bool Next();
+  /// The current round, from 0.
+  size_t round() const { return started_ - 1; }
+  size_t rounds() const { return started_; }
+
+  /// Serves operation r of this round through `service`. Records its
+  /// latency and counts it as attempted, and as failed when its status is
+  /// not OK or one of `line.fields` is missing from its payload.
+  Served Serve(size_t r, uocqa::QueryService* service, const Line& line, RunResult* result);
+  /// Records operation r of this round that is not a protocol line.
+  void Record(size_t r, double seconds, bool ok, RunResult* result);
+
+  /// This round's latency of operation r.
+  double latency(size_t r) const { return latency_[r]; }
+  const std::string& reference(size_t r) const { return reference_[r]; }
+  bool reference_hit(size_t r) const { return reference_hit_[r]; }
+  const LineTimes& times() const { return times_; }
+  /// setup_s, and requests_per_s: operations per second of serving time,
+  /// which is the sum of every operation's fastest round.
+  std::vector<Metric> EndToEnd(double setup_s) const;
+
+ private:
+  size_t planned_;
+  double max_seconds_;
+  Clock::time_point start_ = Clock::now();
+  size_t started_ = 0;
+  LineTimes times_;
+  std::vector<double> latency_;
+  std::vector<std::string> reference_;
+  std::vector<char> reference_hit_;
 };
 
 /// The protocol line of a query request.

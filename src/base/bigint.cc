@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstddef>
+#include <utility>
 
 namespace uocqa {
 
@@ -47,6 +48,13 @@ BigInt BigInt::FromDecimalString(const std::string& digits) {
     out *= uint64_t{10};
     out += uint64_t{static_cast<uint64_t>(c - '0')};
   }
+  return out;
+}
+
+BigInt BigInt::FromLimbs(std::vector<uint32_t> limbs) {
+  BigInt out;
+  out.limbs_ = std::move(limbs);
+  out.Canonicalize();
   return out;
 }
 

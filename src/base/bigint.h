@@ -44,6 +44,9 @@ class BigInt {
   /// Parses a decimal string of digits. Returns zero for an empty string.
   static BigInt FromDecimalString(const std::string& digits);
 
+  /// The value of little-endian base-2^32 limbs (leading zeros allowed).
+  static BigInt FromLimbs(std::vector<uint32_t> limbs);
+
   bool IsZero() const { return limbs_.empty() && small_ == 0; }
   bool IsOne() const { return limbs_.empty() && small_ == 1; }
 

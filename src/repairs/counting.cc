@@ -54,11 +54,16 @@ LenPoly InterleavePolys(const LenPoly& a, const LenPoly& b) {
   LenPoly out(a.size() + b.size() - 1);
   for (size_t i = 0; i < a.size(); ++i) {
     if (a[i].IsZero()) continue;
+    // C(i + j, i) advanced along j: C(i+j, i) = C(i+j-1, i) * (i+j) / j,
+    // exact at every step. It advances over zero b[j] too.
+    BigInt binom(1);
     for (size_t j = 0; j < b.size(); ++j) {
+      if (j > 0) {
+        binom *= static_cast<uint64_t>(i + j);
+        binom.DivModU32(static_cast<uint32_t>(j));
+      }
       if (b[j].IsZero()) continue;
-      out[i + j] += a[i] * b[j] *
-                    Binomial(static_cast<uint32_t>(i + j),
-                             static_cast<uint32_t>(i));
+      out[i + j] += a[i] * b[j] * binom;
     }
   }
   return out;
@@ -81,6 +86,7 @@ BigInt CountOperationalRepairs(const BlockPartition& blocks) {
 BigInt CountCompleteSequencesExact(const BlockPartition& blocks) {
   LenPoly acc{BigInt(1)};
   for (const Block& b : blocks.blocks()) {
+    if (b.size() < 2) continue;  // BlockTotalPoly(1) == {1}, the identity
     acc = InterleavePolys(acc, BlockTotalPoly(b.size()));
   }
   return PolySum(acc);
@@ -94,6 +100,7 @@ BigInt CountSequencesForOutcome(const BlockPartition& blocks,
     const Block& b = blocks.block(i);
     LenPoly poly;
     if (outcomes[i].has_value()) {
+      if (b.size() < 2) continue;  // BlockKeepOnePoly(0) == {1}
       poly = BlockKeepOnePoly(b.size() - 1);
     } else {
       poly = BlockKeepNonePoly(b.size());

@@ -16,7 +16,9 @@
 //                                     no violating pair remains to justify
 //                                     the deletion — see shape(1,⊥)=∅)
 // Blocks interleave with binomial weights: two independent sequences of
-// lengths i and j merge in C(i+j, i) ways.
+// lengths i and j merge in C(i+j, i) ways. A singleton block's total and
+// keep-one polys are {1}, the interleave identity, so the sequence-side
+// chains skip singletons.
 //
 // Numerators |{D' ∈ ORep : c̄ ∈ Q(D')}| and |{s ∈ CRS : c̄ ∈ Q(s(D))}| are
 // #P-hard (Thm 3.4); this module provides exponential-time exact versions
@@ -53,7 +55,9 @@ LenPoly BlockKeepOnePoly(size_t r);
 LenPoly BlockKeepNonePoly(size_t n);
 
 /// Interleaves two independent sequence families: c[l] = sum_i a[i] *
-/// b[l-i] * C(l, i).
+/// b[l-i] * C(l, i). Costs O(|a|·|b|) BigInt products; the binomial is
+/// advanced along b (one small multiply and divide per step), never
+/// recomputed.
 LenPoly InterleavePolys(const LenPoly& a, const LenPoly& b);
 
 /// Sum of all coefficients.

@@ -18,7 +18,8 @@ RelationDenominatorEntry RelationDenominators::ComputeEntry(
   out.fact_count = db.index().RelationCardinality(rel);
   for (size_t idx : blocks.BlocksOfRelation(rel)) {
     size_t n = blocks.block(idx).size();
-    if (n >= 2) out.orep_factor *= static_cast<uint64_t>(n + 1);
+    if (n < 2) continue;  // factor 1, poly {1}: both identities
+    out.orep_factor *= static_cast<uint64_t>(n + 1);
     out.crs_poly = InterleavePolys(out.crs_poly, BlockTotalPoly(n));
   }
   return out;

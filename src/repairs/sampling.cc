@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace uocqa {
 
@@ -10,10 +11,22 @@ BigInt UniformBigInt(Rng& rng, const BigInt& bound) {
   size_t bits = bound.BitLength();
   size_t limbs = (bits + 31) / 32;
   while (true) {
+    // One 32-bit word per NextU64 call, most significant word first, each
+    // written straight into its limb. Bounds below 2^64 build the inline
+    // word and allocate nothing.
     BigInt candidate;
-    for (size_t i = 0; i < limbs; ++i) {
-      candidate.ShiftLeft(32);
-      candidate += uint64_t{rng.NextU64() & 0xffffffffull};
+    if (limbs <= 2) {
+      uint64_t v = 0;
+      for (size_t i = 0; i < limbs; ++i) {
+        v = v << 32 | (rng.NextU64() & 0xffffffffull);
+      }
+      candidate = BigInt(v);
+    } else {
+      std::vector<uint32_t> words(limbs);
+      for (size_t i = limbs; i-- > 0;) {
+        words[i] = static_cast<uint32_t>(rng.NextU64());
+      }
+      candidate = BigInt::FromLimbs(std::move(words));
     }
     // Trim to exactly `bits` bits.
     size_t extra = limbs * 32 - bits;
@@ -89,14 +102,19 @@ std::vector<FactId> UniformRepairSampler::Sample(Rng& rng) const {
 UniformSequenceSampler::UniformSequenceSampler(const Database& db,
                                                const KeySet& keys)
     : db_(db), blocks_(BlockPartition::Compute(db, keys)) {
-  block_polys_.reserve(blocks_.block_count());
   prefix_polys_.push_back({BigInt(1)});
-  for (const Block& b : blocks_.blocks()) {
-    block_polys_.push_back(BlockTotalPoly(b.size()));
+  for (size_t i = 0; i < blocks_.block_count(); ++i) {
+    size_t n = blocks_.block(i).size();
+    if (n < 2) continue;
+    conflict_blocks_.push_back(i);
+    block_polys_.push_back(BlockTotalPoly(n));
     prefix_polys_.push_back(
         InterleavePolys(prefix_polys_.back(), block_polys_.back()));
   }
-  total_ = PolySum(prefix_polys_.back());
+  for (const BigInt& c : prefix_polys_.back()) {
+    total_ += c;
+    length_cumulative_.push_back(total_);
+  }
 }
 
 RepairingSequence UniformSequenceSampler::SampleBlockSequence(
@@ -163,39 +181,47 @@ RepairingSequence UniformSequenceSampler::SampleBlockSequence(
 }
 
 RepairingSequence UniformSequenceSampler::Sample(Rng& rng) const {
-  size_t m = blocks_.block_count();
-  // (1) total length.
-  const LenPoly& full = prefix_polys_[m];
-  std::vector<BigInt> length_weights(full.begin(), full.end());
-  size_t total_len = SampleIndexByWeight(rng, length_weights);
+  size_t m = conflict_blocks_.size();
+  // (1) total length: SampleIndexByWeight over P_m's coefficients, on
+  // precomputed running sums. One length holding all of |CRS| is a forced
+  // choice and draws nothing.
+  const std::vector<BigInt>& cum = length_cumulative_;
+  size_t total_len = static_cast<size_t>(
+      std::upper_bound(cum.begin(), cum.end(), BigInt()) - cum.begin());
+  if (cum[total_len] != total_) {
+    BigInt r = UniformBigInt(rng, total_);
+    total_len = static_cast<size_t>(
+        std::upper_bound(cum.begin(), cum.end(), r) - cum.begin());
+  }
 
   // (2) per-block lengths, backwards.
   std::vector<size_t> lengths(m, 0);
   size_t remaining = total_len;
-  for (size_t i = m; i-- > 0;) {
-    const LenPoly& ti = block_polys_[i];
-    const LenPoly& prefix = prefix_polys_[i];
+  for (size_t k = m; k-- > 0;) {
+    const LenPoly& tk = block_polys_[k];
+    const LenPoly& prefix = prefix_polys_[k];
     std::vector<BigInt> weights;
-    for (size_t l = 0; l <= remaining && l < ti.size(); ++l) {
+    BigInt binom(1);  // C(remaining, l), advanced along l
+    for (size_t l = 0; l <= remaining && l < tk.size(); ++l) {
+      if (l > 0) {
+        binom *= static_cast<uint64_t>(remaining - l + 1);
+        binom.DivModU32(static_cast<uint32_t>(l));
+      }
       size_t rest = remaining - l;
       BigInt w;
-      if (rest < prefix.size()) {
-        w = ti[l] * prefix[rest] *
-            Binomial(static_cast<uint32_t>(remaining),
-                     static_cast<uint32_t>(l));
-      }
+      if (rest < prefix.size()) w = tk[l] * prefix[rest] * binom;
       weights.push_back(w);
     }
-    size_t li = SampleIndexByWeight(rng, weights);
-    lengths[i] = li;
-    remaining -= li;
+    size_t lk = SampleIndexByWeight(rng, weights);
+    lengths[k] = lk;
+    remaining -= lk;
   }
   assert(remaining == 0);
 
   // (3) per-block sequences.
   std::vector<RepairingSequence> block_seqs(m);
-  for (size_t i = 0; i < m; ++i) {
-    block_seqs[i] = SampleBlockSequence(rng, i, lengths[i]);
+  for (size_t k = 0; k < m; ++k) {
+    block_seqs[k] = SampleBlockSequence(rng, conflict_blocks_[k], lengths[k]);
   }
 
   // (4) uniform interleaving.

@@ -79,8 +79,13 @@ class UniformSequenceSampler {
 
   const Database& db_;
   BlockPartition blocks_;
-  std::vector<LenPoly> block_polys_;    // T_i per block
-  std::vector<LenPoly> prefix_polys_;   // P_0..P_m
+  // Steps (1)-(4) walk the blocks of size >= 2 only: a singleton's total
+  // poly is {1}, the identity of interleaving, and its every choice is
+  // forced, hence RNG-silent.
+  std::vector<size_t> conflict_blocks_;        // indices into blocks_
+  std::vector<LenPoly> block_polys_;           // T_k per conflict block
+  std::vector<LenPoly> prefix_polys_;          // P_0..P_m
+  std::vector<BigInt> length_cumulative_;      // running sums of P_m
   BigInt total_;
 };
 

@@ -197,6 +197,16 @@ TEST(BigIntSmallPathTest, RepresentationInvariant) {
   EXPECT_TRUE(q.IsSmall());
   EXPECT_EQ(q.ToUint64(), ~0ull);
   EXPECT_FALSE((BigInt(1) + BigInt(~0ull)).IsSmall());
+  // FromLimbs canonicalizes: leading zero limbs drop, and values below
+  // 2^64 land in the inline word.
+  BigInt two_limbs = BigInt::FromLimbs({0xffffffffu, 0xffffffffu, 0u, 0u});
+  EXPECT_TRUE(two_limbs.IsSmall());
+  EXPECT_EQ(two_limbs.ToUint64(), ~0ull);
+  EXPECT_TRUE(BigInt::FromLimbs({0u, 0u, 0u}).IsZero());
+  EXPECT_TRUE(BigInt::FromLimbs({}).IsZero());
+  BigInt three_limbs = BigInt::FromLimbs({0u, 0u, 1u, 0u});
+  EXPECT_FALSE(three_limbs.IsSmall());
+  EXPECT_EQ(three_limbs, BigInt(~0ull) + BigInt(1));
 }
 
 TEST(BigIntSmallPathTest, AdditionSpillAt64) {

@@ -1,14 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <map>
 #include <set>
 
+#include "base/hashing.h"
 #include "base/rng.h"
 #include "db/blocks.h"
 #include "query/eval.h"
 #include "query/parser.h"
 #include "repairs/counting.h"
+#include "repairs/denominators.h"
 #include "repairs/operations.h"
 #include "repairs/sampling.h"
 
@@ -60,6 +63,78 @@ struct Paper51Instance {
     }
   }
 };
+
+/// 230 singleton blocks mixed with 40 conflicting blocks of sizes 2..6 (160
+/// facts). R's keys are zero-padded, so in block order every conflicting
+/// R block sits between singletons; U holds 30 more singletons after them.
+struct MixedSingletonInstance {
+  Database db;
+  KeySet keys;
+
+  MixedSingletonInstance() {
+    Schema s;
+    s.AddRelationOrDie("R", 2);
+    s.AddRelationOrDie("U", 2);
+    db = Database(s);
+    char key[16];
+    for (int i = 0; i < 240; ++i) {
+      std::snprintf(key, sizeof(key), "k%03d", i);
+      int size = i % 6 == 0 ? 2 + (i / 6) % 5 : 1;
+      for (int v = 0; v < size; ++v) {
+        db.Add("R", {key, "v" + std::to_string(v)});
+      }
+    }
+    for (int i = 0; i < 30; ++i) {
+      db.Add("U", {"u" + std::to_string(i), "w"});
+    }
+    keys.SetKeyOrDie(db.schema().Find("R"), {0});
+    keys.SetKeyOrDie(db.schema().Find("U"), {0});
+  }
+};
+
+/// InterleavePolys the plain way: a fresh Binomial(i + j, i) per pair.
+LenPoly InterleaveByPairBinomials(const LenPoly& a, const LenPoly& b) {
+  if (a.empty() || b.empty()) return {};
+  LenPoly out(a.size() + b.size() - 1);
+  for (size_t i = 0; i < a.size(); ++i) {
+    for (size_t j = 0; j < b.size(); ++j) {
+      out[i + j] += a[i] * b[j] *
+                    Binomial(static_cast<uint32_t>(i + j),
+                             static_cast<uint32_t>(i));
+    }
+  }
+  return out;
+}
+
+/// A poly of `len` coefficients: about a third are zero (gaps), the others
+/// are 1 to 3 random 64-bit words wide.
+LenPoly RandomGappyPoly(Rng& rng, size_t len) {
+  LenPoly p(len);
+  for (BigInt& c : p) {
+    if (rng.UniformIndex(3) == 0) continue;
+    size_t words = 1 + rng.UniformIndex(3);
+    for (size_t w = 0; w < words; ++w) {
+      c.ShiftLeft(64);
+      c += rng.NextU64();
+    }
+  }
+  return p;
+}
+
+/// UniformBigInt the plain way: one ShiftLeft(32) per drawn word.
+BigInt UniformBigIntByShifts(Rng& rng, const BigInt& bound) {
+  size_t bits = bound.BitLength();
+  size_t limbs = (bits + 31) / 32;
+  while (true) {
+    BigInt candidate;
+    for (size_t i = 0; i < limbs; ++i) {
+      candidate.ShiftLeft(32);
+      candidate += uint64_t{rng.NextU64() & 0xffffffffull};
+    }
+    candidate.ShiftRight(limbs * 32 - bits);
+    if (candidate < bound) return candidate;
+  }
+}
 
 // --- operations --------------------------------------------------------------
 
@@ -184,6 +259,31 @@ TEST(CountingTest, InterleaveBinomialWeights) {
   EXPECT_EQ(PolySum(c).ToUint64(), 3u);
 }
 
+TEST(CountingTest, InterleaveMatchesPairBinomialReference) {
+  // Long polys with zero gaps: C(i + j, i) spills past 2^64 from i + j = 68
+  // on, and the incremental binomial must keep advancing over zero b[j].
+  Rng rng(2024);
+  for (int trial = 0; trial < 12; ++trial) {
+    LenPoly a = RandomGappyPoly(rng, 71 + rng.UniformIndex(60));
+    LenPoly b = RandomGappyPoly(rng, 1 + rng.UniformIndex(120));
+    if (trial % 3 == 0) b[0] = BigInt();
+    if (trial % 4 == 0) a.front() = BigInt();
+    LenPoly got = InterleavePolys(a, b);
+    LenPoly want = InterleaveByPairBinomials(a, b);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t l = 0; l < want.size(); ++l) {
+      ASSERT_EQ(got[l], want[l]) << "trial=" << trial << " l=" << l;
+    }
+  }
+  EXPECT_GT(Binomial(130, 65).BitLength(), 64u);
+  // {1} is the identity; an empty poly annihilates.
+  LenPoly a = RandomGappyPoly(rng, 80);
+  LenPoly same = InterleavePolys(a, {BigInt(1)});
+  ASSERT_EQ(same.size(), a.size());
+  for (size_t l = 0; l < a.size(); ++l) EXPECT_EQ(same[l], a[l]);
+  EXPECT_TRUE(InterleavePolys(a, {}).empty());
+}
+
 // --- denominators ------------------------------------------------------------
 
 TEST(CountingTest, RepairCountExample11) {
@@ -276,6 +376,52 @@ TEST(CountingTest, OutcomeCountsSumToTotal) {
   EXPECT_EQ(sum, CountCompleteSequencesExact(blocks));
 }
 
+TEST(CountingTest, SingletonFreeChainsMatchFullChain) {
+  // The counting chains skip singleton blocks; a reference chain that still
+  // interleaves every block's poly must give the same counts.
+  MixedSingletonInstance inst;
+  BlockPartition blocks = BlockPartition::Compute(inst.db, inst.keys);
+  ASSERT_EQ(blocks.block_count(), 270u);
+  ASSERT_EQ(blocks.ViolatingBlockCount(), 40u);
+  LenPoly all{BigInt(1)};
+  for (const Block& b : blocks.blocks()) {
+    all = InterleaveByPairBinomials(all, BlockTotalPoly(b.size()));
+  }
+  EXPECT_EQ(CountCompleteSequencesExact(blocks), PolySum(all));
+
+  auto reference = [&](const std::vector<BlockOutcome>& outcomes) {
+    LenPoly acc{BigInt(1)};
+    for (size_t i = 0; i < blocks.block_count(); ++i) {
+      size_t n = blocks.block(i).size();
+      acc = InterleaveByPairBinomials(
+          acc, outcomes[i].has_value() ? BlockKeepOnePoly(n - 1)
+                                       : BlockKeepNonePoly(n));
+    }
+    return PolySum(acc);
+  };
+  Rng rng(99);
+  for (int trial = 0; trial < 6; ++trial) {
+    std::vector<BlockOutcome> outcomes(blocks.block_count());
+    for (size_t i = 0; i < blocks.block_count(); ++i) {
+      const Block& b = blocks.block(i);
+      size_t pick = b.size() == 1 ? 0 : rng.UniformIndex(b.size() + 1);
+      if (pick < b.size()) outcomes[i] = b.facts[pick];
+    }
+    BigInt want = reference(outcomes);
+    EXPECT_FALSE(want.IsZero());
+    EXPECT_EQ(CountSequencesForOutcome(blocks, outcomes), want);
+  }
+  // An emptied singleton is unreachable: both chains count zero.
+  std::vector<BlockOutcome> outcomes(blocks.block_count());
+  for (size_t i = 0; i < blocks.block_count(); ++i) {
+    outcomes[i] = blocks.block(i).facts[0];
+  }
+  outcomes[1] = std::nullopt;
+  ASSERT_EQ(blocks.block(1).size(), 1u);
+  EXPECT_TRUE(reference(outcomes).IsZero());
+  EXPECT_TRUE(CountSequencesForOutcome(blocks, outcomes).IsZero());
+}
+
 // --- numerators and RF -------------------------------------------------------
 
 TEST(CountingTest, ExactRFExample11) {
@@ -364,6 +510,38 @@ TEST(SamplingTest, UniformBigIntInRange) {
   EXPECT_EQ(seen.size(), 5u);
 }
 
+TEST(SamplingTest, UniformBigIntMatchesShiftConstruction) {
+  // Draw for draw equal to the shift-based construction, with the RNG left
+  // at the same position, for bounds of every bit length from 1 to 640:
+  // powers of two (rejection about half the time), all-ones values and
+  // random values of that length.
+  Rng values(5);
+  Rng got(17);
+  Rng want(17);
+  for (size_t bits = 1; bits <= 640; ++bits) {
+    BigInt pow2(1);
+    pow2.ShiftLeft(bits - 1);
+    BigInt ones = pow2;
+    ones.ShiftLeft(1);
+    ones -= BigInt(1);
+    BigInt random = pow2;
+    for (size_t w = 0; w * 64 + 1 < bits; ++w) {
+      BigInt word(values.NextU64());
+      word.ShiftLeft(w * 64);
+      random += word;
+    }
+    random.ShiftRight(random.BitLength() - bits);
+    for (const BigInt& bound : {pow2, ones, random}) {
+      ASSERT_EQ(bound.BitLength(), bits);
+      for (int draw = 0; draw < 3; ++draw) {
+        ASSERT_EQ(UniformBigInt(got, bound), UniformBigIntByShifts(want, bound))
+            << "bits=" << bits << " draw=" << draw;
+      }
+      ASSERT_EQ(got.NextU64(), want.NextU64()) << "bits=" << bits;
+    }
+  }
+}
+
 TEST(SamplingTest, RepairSamplerIsUniform) {
   EmpInstance inst;
   UniformRepairSampler sampler(inst.db, inst.keys);
@@ -425,6 +603,94 @@ TEST(SamplingTest, SequenceSamplerHandlesConsistentDatabase) {
   EXPECT_EQ(sampler.total_count().ToUint64(), 1u);
   Rng rng(3);
   EXPECT_TRUE(sampler.Sample(rng).empty());
+}
+
+TEST(SamplingTest, SequenceSamplerPinnedOnMixedSingletons) {
+  // Singleton blocks make only forced, RNG-silent choices, so the sampler
+  // walks the conflicting blocks alone. 200 sequences at fixed streams, plus
+  // the RNG word after each stream, hash to a value recorded before
+  // singletons left the sampler's chains.
+  MixedSingletonInstance inst;
+  BlockPartition blocks = BlockPartition::Compute(inst.db, inst.keys);
+  UniformSequenceSampler sampler(inst.db, inst.keys);
+  EXPECT_EQ(sampler.total_count(), CountCompleteSequencesExact(blocks));
+  size_t hash = 0;
+  for (uint64_t stream = 0; stream < 4; ++stream) {
+    Rng rng = Rng::Stream(2024, stream);
+    for (int i = 0; i < 50; ++i) {
+      RepairingSequence seq = sampler.Sample(rng);
+      if (i % 10 == 0) {
+        SequenceCheck check = CheckSequence(inst.db, inst.keys, seq);
+        ASSERT_TRUE(check.repairing);
+        ASSERT_TRUE(check.complete);
+      }
+      HashCombine(&hash, seq.size());
+      for (const Operation& op : seq) {
+        for (FactId f : op.facts) HashCombine(&hash, f);
+      }
+    }
+    HashCombine(&hash, static_cast<size_t>(rng.NextU64()));
+  }
+  EXPECT_EQ(hash, size_t{3359309270447310848ull}) << hash;
+}
+
+// --- delta-maintained denominators -------------------------------------------
+
+TEST(DenominatorsTest, UpdateMatchesComputeOverIngestStream) {
+  // 360 facts in batches of 40 over R and S (keys drawn from 30 per
+  // relation, so >= 300 facts end up conflicting) plus a conflict-free U
+  // batch. Both long per-relation polys meet in CombineTotals, where the
+  // binomials run to C(~300, ~150), several limbs wide.
+  Schema s;
+  s.AddRelationOrDie("R", 2);
+  s.AddRelationOrDie("S", 2);
+  s.AddRelationOrDie("U", 2);
+  Database db(s);
+  KeySet keys;
+  for (const char* r : {"R", "S", "U"}) {
+    keys.SetKeyOrDie(db.schema().Find(r), {0});
+  }
+  BlockPartition blocks = BlockPartition::Compute(db, keys);
+  RelationDenominators dens = RelationDenominators::Compute(db, blocks);
+  Rng rng(31);
+  int next_value = 0;
+  for (int batch = 0; batch < 10; ++batch) {
+    SCOPED_TRACE("batch=" + std::to_string(batch));
+    FactId first_new = static_cast<FactId>(db.size());
+    bool conflict_free = batch == 4;
+    for (int f = 0; f < 40; ++f) {
+      std::string value = "v" + std::to_string(next_value++);
+      if (conflict_free) {
+        db.Add("U", {"u" + value, value});
+      } else {
+        const char* rel = rng.UniformIndex(2) == 0 ? "R" : "S";
+        db.Add(rel, {"k" + std::to_string(rng.UniformIndex(30)), value});
+      }
+    }
+    blocks = BlockPartition::Update(blocks, db, keys, first_new);
+    std::vector<RelationId> changed;
+    RelationDenominators next =
+        RelationDenominators::Update(dens, db, blocks, first_new, &changed);
+    RelationDenominators fresh = RelationDenominators::Compute(db, blocks);
+    EXPECT_EQ(next.orep(), fresh.orep());
+    EXPECT_EQ(next.crs(), fresh.crs());
+    EXPECT_EQ(next.orep(), CountOperationalRepairs(blocks));
+    EXPECT_EQ(next.crs(), CountCompleteSequencesExact(blocks));
+    if (conflict_free) {
+      EXPECT_TRUE(changed.empty());
+      EXPECT_EQ(next.crs(), dens.crs());
+    } else {
+      EXPECT_FALSE(changed.empty());
+    }
+    dens = std::move(next);
+  }
+  size_t conflicting = 0;
+  for (const Block& b : blocks.blocks()) {
+    if (b.size() >= 2) conflicting += b.size();
+  }
+  EXPECT_GE(conflicting, 300u);
+  EXPECT_GT(dens.entry(db.schema().Find("R")).crs_poly.size(), 100u);
+  EXPECT_GT(dens.entry(db.schema().Find("S")).crs_poly.size(), 100u);
 }
 
 }  // namespace

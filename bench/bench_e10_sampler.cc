@@ -55,7 +55,7 @@ void BM_MonteCarloUrConvergence(benchmark::State& state) {
   GeneratedInstance inst = MakeInstance(4);
   ConjunctiveQuery q = ChainQuery(2);
   OcqaEngine engine(inst.db, inst.keys);
-  ExactRF exact = engine.ExactUr(q, {});
+  ExactRF exact = engine.Exact(q, {}).ur;
   size_t samples = static_cast<size_t>(state.range(0));
   double err = 0;
   for (auto _ : state) {
@@ -72,7 +72,7 @@ void BM_MonteCarloUsConvergence(benchmark::State& state) {
   GeneratedInstance inst = MakeInstance(4);
   ConjunctiveQuery q = ChainQuery(2);
   OcqaEngine engine(inst.db, inst.keys);
-  ExactRF exact = engine.ExactUs(q, {});
+  ExactRF exact = engine.Exact(q, {}).us;
   size_t samples = static_cast<size_t>(state.range(0));
   double err = 0;
   for (auto _ : state) {

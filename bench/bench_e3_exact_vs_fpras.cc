@@ -29,7 +29,7 @@ void BM_ExactNumerator(benchmark::State& state) {
   ConjunctiveQuery q = ChainQuery(2);
   OcqaEngine engine(inst.db, inst.keys);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.ExactUr(q, {}));
+    benchmark::DoNotOptimize(engine.Exact(q, {}).ur);
   }
   state.counters["facts"] = static_cast<double>(inst.db.size());
 }

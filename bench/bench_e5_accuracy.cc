@@ -35,7 +35,7 @@ int main() {
       gen.domain_size = 5;
       GeneratedInstance inst = GenerateDatabaseForQuery(rng, query, gen);
       OcqaEngine engine(inst.db, inst.keys);
-      ExactRF exact = engine.ExactUr(query, {});
+      ExactRF exact = engine.Exact(query, {}).ur;
       if (exact.numerator.IsZero()) continue;
       double truth = exact.value();
       for (int s = 1; s <= kSeedsPerEps; ++s) {

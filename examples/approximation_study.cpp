@@ -56,7 +56,7 @@ int main() {
     ExactRF exact;
     if (run_exact) {
       auto t0 = std::chrono::steady_clock::now();
-      exact = engine.ExactUr(query, {});
+      exact = engine.Exact(query, {}).ur;
       exact_ms = MillisSince(t0);
     }
 

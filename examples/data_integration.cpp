@@ -49,11 +49,10 @@ int main() {
 
   OcqaEngine engine(db, keys);
   std::printf("query: %s\n", query->ToString().c_str());
+  ExactFrequencies oslo = engine.Exact(*query, {ValuePool::Intern("oslo")});
   std::printf("|ORep| = %s   |CRS| = %s\n\n",
-              engine.ExactUr(*query, {ValuePool::Intern("oslo")})
-                  .denominator.ToString().c_str(),
-              engine.ExactUs(*query, {ValuePool::Intern("oslo")})
-                  .denominator.ToString().c_str());
+              oslo.ur.denominator.ToString().c_str(),
+              oslo.us.denominator.ToString().c_str());
 
   // Candidate answers: all cities in the active domain.
   std::vector<std::string> cities = {"paris",  "london", "berlin",
@@ -67,8 +66,9 @@ int main() {
     std::vector<Value> answer = {ValuePool::Intern(city)};
     Row row;
     row.city = city;
-    row.ur = engine.ExactUr(*query, answer).value();
-    row.us = engine.ExactUs(*query, answer).value();
+    ExactFrequencies exact = engine.Exact(*query, answer);
+    row.ur = exact.ur.value();
+    row.us = exact.us.value();
     row.mc = engine.MonteCarloUr(*query, answer, 20000, 11);
     rows.push_back(row);
   }

@@ -53,8 +53,9 @@ int main() {
   OcqaEngine engine(db, keys);
 
   // 4. Exact relative frequencies (2 of the 3 repairs/sequences entail Q).
-  ExactRF ur = engine.ExactUr(*query, {});
-  ExactRF us = engine.ExactUs(*query, {});
+  ExactFrequencies exact = engine.Exact(*query, {});
+  const ExactRF& ur = exact.ur;
+  const ExactRF& us = exact.us;
   std::printf("\nRF_ur = %s / %s = %.6f\n", ur.numerator.ToString().c_str(),
               ur.denominator.ToString().c_str(), ur.value());
   std::printf("RF_us = %s / %s = %.6f\n", us.numerator.ToString().c_str(),

@@ -51,7 +51,7 @@ int main() {
               ghw.ok() ? ghw->width : 0);
 
   OcqaEngine engine(db, keys);
-  ExactRF exact = engine.ExactUr(*query, {});
+  ExactRF exact = engine.Exact(*query, {}).ur;
   std::printf("exact RF_ur = %s / %s = %.6f\n\n",
               exact.numerator.ToString().c_str(),
               exact.denominator.ToString().c_str(), exact.value());

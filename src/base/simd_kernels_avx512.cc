@@ -99,7 +99,13 @@ uint64_t HashWordsAvx512(const uint64_t* a, size_t n) {
     acc = _mm512_add_epi64(acc, MixWord8(_mm512_loadu_si512(a + i), idx1));
     idx1 = _mm512_add_epi64(idx1, eight);
   }
-  uint64_t sum = _mm512_reduce_add_epi64(acc);
+  // Reduce the lanes as uint64_t: GCC's _mm512_reduce_add_epi64 adds them
+  // as signed long long, and a hash sum may overflow, which is undefined
+  // there. The unsigned sum is the same value modulo 2^64.
+  alignas(64) uint64_t lanes[8];
+  _mm512_store_si512(lanes, acc);
+  uint64_t sum = 0;
+  for (uint64_t lane : lanes) sum += lane;
   for (; i < n; ++i) sum += MixWord(a[i], i);
   return FinalizeHash(sum, n);
 }

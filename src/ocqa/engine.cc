@@ -22,10 +22,9 @@ size_t ResolveThreads(size_t threads) {
 }
 
 /// Plans an atom order once against the full database for the exact and
-/// Monte-Carlo paths, which evaluate the query over many repair subsets:
-/// an order planned on the full statistics stays a valid permutation for
-/// every subset, and entailment is order-independent, so counts and
-/// estimates are unchanged — only search effort is.
+/// Monte-Carlo paths, which evaluate the query over many repairs (the full
+/// index under a removed-fact mask): entailment is order-independent, so
+/// counts and estimates are unchanged — only search effort is.
 std::vector<size_t> PlanOrderForTrials(const Database& db,
                                        const ConjunctiveQuery& query) {
   CostModel model(db, query);
@@ -168,16 +167,18 @@ const BigInt& OcqaEngine::CrsCount(ThreadPool* pool) const {
   return *crs_count_;
 }
 
-ExactRF OcqaEngine::ExactUr(const ConjunctiveQuery& query,
-                            const std::vector<Value>& answer_tuple) const {
+ExactFrequencies OcqaEngine::Exact(
+    const ConjunctiveQuery& query,
+    const std::vector<Value>& answer_tuple) const {
   std::vector<size_t> order = PlanOrderForTrials(db_, query);
-  return ExactRepairFrequency(db_, keys_, query, answer_tuple, &order);
-}
-
-ExactRF OcqaEngine::ExactUs(const ConjunctiveQuery& query,
-                            const std::vector<Value>& answer_tuple) const {
-  std::vector<size_t> order = PlanOrderForTrials(db_, query);
-  return ExactSequenceFrequency(db_, keys_, query, answer_tuple, &order);
+  EntailingCounts counts =
+      CountEntailing(db_, BlockPartition::Compute(db_, keys_), query,
+                     answer_tuple, &order);
+  ExactFrequencies out;
+  out.ur = {std::move(counts.repairs), OrepCount(nullptr)};
+  out.us = {std::move(counts.sequences), CrsCount(nullptr)};
+  out.outcomes = counts.outcomes;
+  return out;
 }
 
 Result<ApproxRF> OcqaEngine::ApproxUr(const ConjunctiveQuery& query,
@@ -288,20 +289,14 @@ BigInt OcqaEngine::CountClassicalRepairs() const {
 BigInt OcqaEngine::ClassicalRepairsEntailingBruteForce(
     const ConjunctiveQuery& query,
     const std::vector<Value>& answer_tuple) const {
-  BlockPartition blocks = BlockPartition::Compute(db_, keys_);
-  std::vector<size_t> order = PlanOrderForTrials(db_, query);
-  BigInt count;
-  ForEachRepair(blocks, [&](const std::vector<BlockOutcome>& outcomes,
-                            const std::vector<FactId>& kept) {
-    for (const BlockOutcome& o : outcomes) {
-      if (!o.has_value()) return true;  // not a classical subset repair
-    }
-    Database repair = db_.Subset(kept);
-    QueryEvaluator eval(repair, query, order);
-    if (eval.Entails(answer_tuple)) count += uint64_t{1};
-    return true;
-  });
-  return count;
+  QueryEvaluator eval(db_, query, PlanOrderForTrials(db_, query));
+  uint64_t count = 0;
+  ForEachConflictOutcome(
+      db_, BlockPartition::Compute(db_, keys_), /*with_drop=*/false,
+      [&](const std::vector<bool>& removed, const std::vector<size_t>&) {
+        if (eval.Entails(answer_tuple, &removed)) ++count;
+      });
+  return BigInt(count);
 }
 
 Result<std::vector<std::vector<FactId>>> OcqaEngine::SampleEntailingRepairs(
@@ -354,13 +349,16 @@ namespace {
 /// in fixed chunks of OcqaEngine::kMcChunk, chunk c driven by RNG stream c
 /// of `seed`, hit counts merged per chunk. The chunk layout never depends
 /// on the pool, so the estimate is bit-identical at every thread count.
-template <typename Trial>
+/// `make_trial()` builds one chunk's trial, which may own mutable scratch
+/// (an evaluator, a mask) because a chunk runs on one lane.
+template <typename MakeTrial>
 double MonteCarloEstimate(size_t samples, uint64_t seed, ThreadPool* pool,
-                          const Trial& trial) {
+                          const MakeTrial& make_trial) {
   if (samples == 0) return 0.0;
   size_t chunks = (samples + OcqaEngine::kMcChunk - 1) / OcqaEngine::kMcChunk;
   std::vector<size_t> hits(chunks, 0);
   auto run_chunk = [&](size_t c) {
+    auto trial = make_trial();
     Rng rng = Rng::Stream(seed, c);
     size_t begin = c * OcqaEngine::kMcChunk;
     size_t end = std::min(samples, begin + OcqaEngine::kMcChunk);
@@ -387,12 +385,23 @@ double OcqaEngine::MonteCarloUr(const ConjunctiveQuery& query,
   // entailment outcome and the sampler RNG is untouched, so the estimate
   // stays bit-identical to the greedy-order implementation.
   std::vector<size_t> order = PlanOrderForTrials(db_, query);
-  return MonteCarloEstimate(
-      samples, seed, PoolFor(threads), [&](Rng& rng) {
-        Database repair = db_.Subset(sampler.Sample(rng));
-        QueryEvaluator eval(repair, query, order);
-        return eval.Entails(answer_tuple);
-      });
+  const BlockPartition& blocks = sampler.blocks();
+  std::vector<size_t> conflict;
+  for (size_t i = 0; i < blocks.block_count(); ++i) {
+    if (blocks.block(i).size() >= 2) conflict.push_back(i);
+  }
+  return MonteCarloEstimate(samples, seed, PoolFor(threads), [&] {
+    return [&, eval = QueryEvaluator(db_, query, order),
+            removed = std::vector<bool>(db_.size(), false)](Rng& rng) mutable {
+      std::vector<BlockOutcome> outcomes = sampler.SampleOutcomes(rng);
+      // Every conflicting-block fact is rewritten, so no trial leaks into
+      // the next; singleton facts stay unmarked.
+      for (size_t i : conflict) {
+        for (FactId f : blocks.block(i).facts) removed[f] = outcomes[i] != f;
+      }
+      return eval.Entails(answer_tuple, &removed);
+    };
+  });
 }
 
 double OcqaEngine::MonteCarloUs(const ConjunctiveQuery& query,
@@ -401,13 +410,22 @@ double OcqaEngine::MonteCarloUs(const ConjunctiveQuery& query,
                                 size_t threads) const {
   UniformSequenceSampler sampler(db_, keys_);
   std::vector<size_t> order = PlanOrderForTrials(db_, query);
-  return MonteCarloEstimate(
-      samples, seed, PoolFor(threads), [&](Rng& rng) {
-        RepairingSequence seq = sampler.Sample(rng);
-        Database result = db_.Subset(ApplySequence(db_, seq));
-        QueryEvaluator eval(result, query, order);
-        return eval.Entails(answer_tuple);
-      });
+  return MonteCarloEstimate(samples, seed, PoolFor(threads), [&] {
+    return [&, eval = QueryEvaluator(db_, query, order),
+            removed = std::vector<bool>(db_.size(), false)](Rng& rng) mutable {
+      // The sequence's operations remove exactly the facts ApplySequence
+      // would leave out; mark them for this trial only.
+      RepairingSequence seq = sampler.Sample(rng);
+      for (const Operation& op : seq) {
+        for (FactId f : op.facts) removed[f] = true;
+      }
+      bool hit = eval.Entails(answer_tuple, &removed);
+      for (const Operation& op : seq) {
+        for (FactId f : op.facts) removed[f] = false;
+      }
+      return hit;
+    };
+  });
 }
 
 }  // namespace uocqa

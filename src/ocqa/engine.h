@@ -74,6 +74,16 @@ struct ApproxRF {
   size_t union_trials = 0;
 };
 
+/// Both exact relative frequencies of one (query, answer), from one pass
+/// over the conflicting blocks' outcomes (repairs/counting.h).
+struct ExactFrequencies {
+  ExactRF ur;
+  ExactRF us;
+  /// Conflicting-block outcome vectors the pass visited (deterministic work
+  /// counter; the service's `exact_outcomes` trace field).
+  uint64_t outcomes = 0;
+};
+
 /// The reusable output of the engine's shared pipeline prefix: the GHD of
 /// the query, its Appendix-E normal form, and the key set remapped onto the
 /// normal-form schema — plus a memo of the Rep[k]/Seq[k] automata compiled
@@ -147,10 +157,11 @@ class OcqaEngine {
                                 const OcqaOptions& options = {}) const;
 
   // -- exact (exponential-time numerators; ground truth) --------------------
-  ExactRF ExactUr(const ConjunctiveQuery& query,
-                  const std::vector<Value>& answer_tuple) const;
-  ExactRF ExactUs(const ConjunctiveQuery& query,
-                  const std::vector<Value>& answer_tuple) const;
+  /// RF_ur and RF_us exactly: one enumeration of the conflicting blocks'
+  /// outcomes, each evaluated on the instance's own index through a
+  /// removed-fact mask, with the memoized |ORep| / |CRS| as denominators.
+  ExactFrequencies Exact(const ConjunctiveQuery& query,
+                         const std::vector<Value>& answer_tuple) const;
 
   // -- combined-complexity FPRAS (Theorem 3.6) ------------------------------
   Result<ApproxRF> ApproxUr(const ConjunctiveQuery& query,
@@ -193,7 +204,8 @@ class OcqaEngine {
       const std::vector<Value>& answer_tuple) const;
   /// Number of classical subset repairs (prod of block sizes).
   BigInt CountClassicalRepairs() const;
-  /// Brute-force exact count of subset repairs entailing the query.
+  /// Brute-force exact count of subset repairs entailing the query: the
+  /// masked outcome enumeration without drop outcomes.
   BigInt ClassicalRepairsEntailingBruteForce(
       const ConjunctiveQuery& query,
       const std::vector<Value>& answer_tuple) const;
@@ -218,7 +230,9 @@ class OcqaEngine {
   /// answer. Samples are drawn in fixed chunks of kMcChunk, chunk c from
   /// RNG stream c of `seed`, and evaluated across `threads` lanes
   /// (0 = hardware concurrency, 1 = serial); the estimate is bit-identical
-  /// at every thread count.
+  /// at every thread count. Each trial is evaluated on the instance's own
+  /// index, masking the facts its sample drops; every chunk owns its
+  /// evaluator and mask.
   double MonteCarloUr(const ConjunctiveQuery& query,
                       const std::vector<Value>& answer_tuple, size_t samples,
                       uint64_t seed, size_t threads = 0) const;

@@ -115,7 +115,7 @@ bool QueryEvaluator::SeedAssignment(const std::vector<Value>& answer_tuple,
 
 bool QueryEvaluator::Search(
     size_t depth, Assignment* assignment,
-    std::vector<BoundArg>* bound_scratch,
+    std::vector<BoundArg>* bound_scratch, const std::vector<bool>* removed,
     const std::function<bool(const Assignment&)>& fn) const {
   if (depth == order_.size()) return fn(*assignment);
   size_t atom_idx = order_[depth];
@@ -136,6 +136,7 @@ bool QueryEvaluator::Search(
   const std::vector<FactId>& candidates =
       db_.index().Candidates(atom_rels_[atom_idx], *bound_scratch);
   for (FactId fid : candidates) {
+    if (removed != nullptr && (*removed)[fid]) continue;
     ++nodes_visited_;
     const Fact& fact = db_.fact(fid);
     // Try to unify atom terms with the fact, recording newly bound vars.
@@ -161,7 +162,7 @@ bool QueryEvaluator::Search(
       }
     }
     if (ok) {
-      if (!Search(depth + 1, assignment, bound_scratch, fn)) {
+      if (!Search(depth + 1, assignment, bound_scratch, removed, fn)) {
         for (VarId v : newly_bound) (*assignment)[v] = kUnassignedValue;
         return false;
       }
@@ -171,12 +172,14 @@ bool QueryEvaluator::Search(
   return true;
 }
 
-bool QueryEvaluator::Entails(const std::vector<Value>& answer_tuple) const {
+bool QueryEvaluator::Entails(const std::vector<Value>& answer_tuple,
+                             const std::vector<bool>* removed) const {
+  assert(removed == nullptr || removed->size() == db_.size());
   Assignment assignment;
   if (!SeedAssignment(answer_tuple, &assignment)) return false;
   bool found = false;
   std::vector<BoundArg> scratch;
-  Search(0, &assignment, &scratch, [&found](const Assignment&) {
+  Search(0, &assignment, &scratch, removed, [&found](const Assignment&) {
     found = true;
     return false;  // abort at first witness
   });
@@ -189,7 +192,7 @@ std::optional<Assignment> QueryEvaluator::FindHomomorphism(
   if (!SeedAssignment(answer_tuple, &assignment)) return std::nullopt;
   std::optional<Assignment> result;
   std::vector<BoundArg> scratch;
-  Search(0, &assignment, &scratch, [&result](const Assignment& a) {
+  Search(0, &assignment, &scratch, nullptr, [&result](const Assignment& a) {
     result = a;
     return false;
   });
@@ -208,7 +211,7 @@ uint64_t QueryEvaluator::CountHomomorphisms(
   if (!SeedAssignment(answer_tuple, &assignment)) return 0;
   uint64_t count = 0;
   std::vector<BoundArg> scratch;
-  Search(0, &assignment, &scratch, [&count](const Assignment&) {
+  Search(0, &assignment, &scratch, nullptr, [&count](const Assignment&) {
     ++count;
     return true;
   });
@@ -221,7 +224,7 @@ bool QueryEvaluator::ForEachHomomorphism(
   Assignment assignment;
   if (!SeedAssignment(answer_tuple, &assignment)) return true;
   std::vector<BoundArg> scratch;
-  return Search(0, &assignment, &scratch, fn);
+  return Search(0, &assignment, &scratch, nullptr, fn);
 }
 
 std::vector<std::vector<Value>> QueryEvaluator::Answers() const {
@@ -229,7 +232,7 @@ std::vector<std::vector<Value>> QueryEvaluator::Answers() const {
   std::vector<std::vector<Value>> out;
   Assignment assignment(query_.variable_count(), kUnassignedValue);
   std::vector<BoundArg> scratch;
-  Search(0, &assignment, &scratch, [&](const Assignment& a) {
+  Search(0, &assignment, &scratch, nullptr, [&](const Assignment& a) {
     std::vector<Value> tuple;
     tuple.reserve(query_.answer_vars().size());
     for (VarId v : query_.answer_vars()) tuple.push_back(a[v]);

@@ -57,7 +57,14 @@ class QueryEvaluator {
 
   /// c̄ ∈ Q(D)? `answer_tuple` must have one constant per answer variable
   /// (empty for Boolean queries).
-  bool Entails(const std::vector<Value>& answer_tuple) const;
+  ///
+  /// `removed`, when given, is a mask indexed by FactId (sized to the
+  /// database) whose set facts the search skips: a homomorphism into D that
+  /// avoids the removed facts is exactly a homomorphism into the sub-database
+  /// of the kept ones, so this answers c̄ ∈ Q(D \ removed) on D's own index
+  /// without materializing a Database::Subset.
+  bool Entails(const std::vector<Value>& answer_tuple,
+               const std::vector<bool>* removed = nullptr) const;
 
   /// A witnessing homomorphism extending x̄ ↦ c̄, or nullopt.
   std::optional<Assignment> FindHomomorphism(
@@ -96,9 +103,11 @@ class QueryEvaluator {
   /// completed assignment; returns false iff aborted by fn. `bound_scratch`
   /// is a reusable buffer for resolving bound terms (cleared at each node;
   /// safe to share across depths because the candidate list returned by the
-  /// index does not reference it).
+  /// index does not reference it). Candidates set in `removed` (nullable,
+  /// see Entails) are skipped without counting as visited nodes.
   bool Search(size_t depth, Assignment* assignment,
               std::vector<BoundArg>* bound_scratch,
+              const std::vector<bool>* removed,
               const std::function<bool(const Assignment&)>& fn) const;
 
   const Database& db_;

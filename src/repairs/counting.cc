@@ -1,6 +1,7 @@
 #include "repairs/counting.h"
 
 #include <cassert>
+#include <map>
 
 #include "query/eval.h"
 
@@ -148,42 +149,104 @@ void ForEachRepair(
   rec(0);
 }
 
+uint64_t ForEachConflictOutcome(
+    const Database& db, const BlockPartition& blocks, bool with_drop,
+    const std::function<void(const std::vector<bool>&,
+                             const std::vector<size_t>&)>& fn) {
+  std::vector<const Block*> conflict;
+  for (const Block& b : blocks.blocks()) {
+    if (b.size() >= 2) conflict.push_back(&b);
+  }
+  // Start at every conflicting block keeping its first fact.
+  std::vector<bool> removed(db.size(), false);
+  for (const Block* b : conflict) {
+    for (size_t j = 1; j < b->size(); ++j) removed[b->facts[j]] = true;
+  }
+  std::vector<size_t> choice(conflict.size(), 0);
+  uint64_t visited = 0;
+  while (true) {
+    fn(removed, choice);
+    ++visited;
+    // Advance the odometer, last block fastest: leave the current outcome
+    // (re-mark its kept fact), enter the next (unmark its kept fact); a
+    // digit past its last outcome wraps to keeping its first fact.
+    size_t k = conflict.size();
+    for (; k > 0; --k) {
+      const Block& b = *conflict[k - 1];
+      size_t& c = choice[k - 1];
+      size_t n = b.size();
+      if (c < n) removed[b.facts[c]] = true;
+      if (c < (with_drop ? n : n - 1)) {
+        ++c;
+        if (c < n) removed[b.facts[c]] = false;
+        break;
+      }
+      c = 0;
+      removed[b.facts[0]] = false;
+    }
+    if (k == 0) return visited;
+  }
+}
+
+EntailingCounts CountEntailing(const Database& db,
+                               const BlockPartition& blocks,
+                               const ConjunctiveQuery& query,
+                               const std::vector<Value>& answer_tuple,
+                               const std::vector<size_t>* atom_order) {
+  QueryEvaluator eval = atom_order ? QueryEvaluator(db, query, *atom_order)
+                                   : QueryEvaluator(db, query);
+  // Entailing outcome vectors, by the conflicting blocks they empty.
+  std::map<std::vector<bool>, uint64_t> by_emptied;
+  std::vector<size_t> sizes;
+  for (const Block& b : blocks.blocks()) {
+    if (b.size() >= 2) sizes.push_back(b.size());
+  }
+  EntailingCounts out;
+  uint64_t repairs = 0;
+  std::vector<bool> emptied(sizes.size());
+  out.outcomes = ForEachConflictOutcome(
+      db, blocks, /*with_drop=*/true,
+      [&](const std::vector<bool>& removed, const std::vector<size_t>& choice) {
+        if (!eval.Entails(answer_tuple, &removed)) return;
+        ++repairs;
+        for (size_t k = 0; k < sizes.size(); ++k) {
+          emptied[k] = choice[k] == sizes[k];
+        }
+        ++by_emptied[emptied];
+      });
+  out.repairs = BigInt(repairs);
+  // Per conflicting block, its keep-one and keep-none polys, computed once.
+  std::vector<LenPoly> keep_one, keep_none;
+  for (size_t n : sizes) {
+    keep_one.push_back(BlockKeepOnePoly(n - 1));
+    keep_none.push_back(BlockKeepNonePoly(n));
+  }
+  for (const auto& [pattern, count] : by_emptied) {
+    LenPoly acc{BigInt(1)};
+    for (size_t k = 0; k < sizes.size() && !acc.empty(); ++k) {
+      acc = InterleavePolys(acc, pattern[k] ? keep_none[k] : keep_one[k]);
+    }
+    out.sequences += PolySum(acc) * count;
+  }
+  return out;
+}
+
 BigInt CountRepairsEntailing(const Database& db, const KeySet& keys,
                              const ConjunctiveQuery& query,
                              const std::vector<Value>& answer_tuple,
                              const std::vector<size_t>* atom_order) {
-  BlockPartition blocks = BlockPartition::Compute(db, keys);
-  BigInt count;
-  ForEachRepair(blocks, [&](const std::vector<BlockOutcome>&,
-                            const std::vector<FactId>& kept) {
-    Database repair = db.Subset(kept);
-    QueryEvaluator eval = atom_order
-                              ? QueryEvaluator(repair, query, *atom_order)
-                              : QueryEvaluator(repair, query);
-    if (eval.Entails(answer_tuple)) count += uint64_t{1};
-    return true;
-  });
-  return count;
+  return CountEntailing(db, BlockPartition::Compute(db, keys), query,
+                        answer_tuple, atom_order)
+      .repairs;
 }
 
 BigInt CountSequencesEntailing(const Database& db, const KeySet& keys,
                                const ConjunctiveQuery& query,
                                const std::vector<Value>& answer_tuple,
                                const std::vector<size_t>* atom_order) {
-  BlockPartition blocks = BlockPartition::Compute(db, keys);
-  BigInt count;
-  ForEachRepair(blocks, [&](const std::vector<BlockOutcome>& outcomes,
-                            const std::vector<FactId>& kept) {
-    Database repair = db.Subset(kept);
-    QueryEvaluator eval = atom_order
-                              ? QueryEvaluator(repair, query, *atom_order)
-                              : QueryEvaluator(repair, query);
-    if (eval.Entails(answer_tuple)) {
-      count += CountSequencesForOutcome(blocks, outcomes);
-    }
-    return true;
-  });
-  return count;
+  return CountEntailing(db, BlockPartition::Compute(db, keys), query,
+                        answer_tuple, atom_order)
+      .sequences;
 }
 
 ExactRF ExactRepairFrequency(const Database& db, const KeySet& keys,
@@ -193,7 +256,7 @@ ExactRF ExactRepairFrequency(const Database& db, const KeySet& keys,
   BlockPartition blocks = BlockPartition::Compute(db, keys);
   ExactRF out;
   out.numerator =
-      CountRepairsEntailing(db, keys, query, answer_tuple, atom_order);
+      CountEntailing(db, blocks, query, answer_tuple, atom_order).repairs;
   out.denominator = CountOperationalRepairs(blocks);
   return out;
 }
@@ -205,7 +268,7 @@ ExactRF ExactSequenceFrequency(const Database& db, const KeySet& keys,
   BlockPartition blocks = BlockPartition::Compute(db, keys);
   ExactRF out;
   out.numerator =
-      CountSequencesEntailing(db, keys, query, answer_tuple, atom_order);
+      CountEntailing(db, blocks, query, answer_tuple, atom_order).sequences;
   out.denominator = CountCompleteSequencesExact(blocks);
   return out;
 }

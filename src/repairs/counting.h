@@ -22,8 +22,9 @@
 //
 // Numerators |{D' ∈ ORep : c̄ ∈ Q(D')}| and |{s ∈ CRS : c̄ ∈ Q(s(D))}| are
 // #P-hard (Thm 3.4); this module provides exponential-time exact versions
-// (enumeration over block outcome vectors) used as ground truth for the
-// FPRAS and in the benchmarks that exhibit the exact-vs-approximate gap.
+// (one enumeration over the outcome vectors of the conflicting blocks,
+// yielding both numerators) used as ground truth for the FPRAS and in the
+// benchmarks that exhibit the exact-vs-approximate gap.
 
 #ifndef UOCQA_REPAIRS_COUNTING_H_
 #define UOCQA_REPAIRS_COUNTING_H_
@@ -86,17 +87,55 @@ void ForEachRepair(
     const std::function<bool(const std::vector<BlockOutcome>&,
                              const std::vector<FactId>&)>& fn);
 
-/// Exact numerator |{D' ∈ ORep(D,Sigma) : c̄ ∈ Q(D')}| by enumeration.
-/// `atom_order` optionally fixes the per-repair evaluator's atom order (a
-/// permutation of 0..atom_count-1, e.g. planned once against the full
-/// database); order affects enumeration cost only, never the count.
+/// The odometer under the exact counters: visits every vector of outcomes
+/// of the conflicting blocks (size >= 2) of `blocks`, a partition of `db` —
+/// keep one fact, or, if `with_drop`, empty the block (without it, only the
+/// classical subset repairs are visited). Singleton blocks always keep their
+/// fact and are not digits. For each outcome vector, `fn(removed, choice)`
+/// gets a mask indexed by FactId (sized db.size()) marking exactly the facts
+/// that outcome drops, ready for QueryEvaluator::Entails, and `choice[k]`,
+/// the outcome of the k-th conflicting block in block order: the index of
+/// its kept fact, or its size when the block is emptied. Consecutive outcome
+/// vectors differ in a few mask bits, so a step costs O(1) amortized rather
+/// than a Database::Subset. Returns the number of outcome vectors visited.
+uint64_t ForEachConflictOutcome(
+    const Database& db, const BlockPartition& blocks, bool with_drop,
+    const std::function<void(const std::vector<bool>& removed,
+                             const std::vector<size_t>& choice)>& fn);
+
+/// Both exact numerators of one (query, answer) from one pass.
+struct EntailingCounts {
+  BigInt repairs;    ///< |{D' ∈ ORep(D,Sigma) : c̄ ∈ Q(D')}|
+  BigInt sequences;  ///< |{s ∈ CRS(D,Sigma) : c̄ ∈ Q(s(D))}|
+  /// Conflicting-block outcome vectors visited: prod over blocks of size
+  /// n >= 2 of (n + 1). Deterministic (a work counter, not a timing).
+  uint64_t outcomes = 0;
+};
+
+/// Counts both numerators in one ForEachConflictOutcome pass, evaluating
+/// each outcome on `db`'s own index through the removed-fact mask. A
+/// sequence count depends only on which conflicting blocks an outcome
+/// empties (a block's keep-one count is the same for each of its facts), so
+/// entailing outcomes are tallied per emptied-block pattern and each pattern
+/// is interleaved once. `atom_order` optionally fixes the evaluator's atom
+/// order (a permutation of 0..atom_count-1, e.g. planned once against the
+/// full database); order affects enumeration cost only, never the counts.
+EntailingCounts CountEntailing(const Database& db,
+                               const BlockPartition& blocks,
+                               const ConjunctiveQuery& query,
+                               const std::vector<Value>& answer_tuple,
+                               const std::vector<size_t>* atom_order =
+                                   nullptr);
+
+/// Exact numerator |{D' ∈ ORep(D,Sigma) : c̄ ∈ Q(D')}|: CountEntailing's
+/// repair count.
 BigInt CountRepairsEntailing(const Database& db, const KeySet& keys,
                              const ConjunctiveQuery& query,
                              const std::vector<Value>& answer_tuple,
                              const std::vector<size_t>* atom_order = nullptr);
 
-/// Exact numerator |{s ∈ CRS(D,Sigma) : c̄ ∈ Q(s(D))}| by enumeration over
-/// outcomes with per-outcome sequence counting.
+/// Exact numerator |{s ∈ CRS(D,Sigma) : c̄ ∈ Q(s(D))}|: CountEntailing's
+/// sequence count.
 BigInt CountSequencesEntailing(const Database& db, const KeySet& keys,
                                const ConjunctiveQuery& query,
                                const std::vector<Value>& answer_tuple,

@@ -666,12 +666,12 @@ ServiceResponse QueryService::RunQueryCore(const Request& request,
 
   if (all || request.mode == RequestMode::kExact) {
     metrics::ScopedStage exact_stage(stages_.exact_dp, trace, "exact_dp_us");
-    ExactRF ur = engine.ExactUr(*query, answer);
-    ExactRF us = engine.ExactUs(*query, answer);
-    append("exact_ur=" + ur.numerator.ToString() + "/" +
-           ur.denominator.ToString());
-    append("exact_us=" + us.numerator.ToString() + "/" +
-           us.denominator.ToString());
+    ExactFrequencies exact = engine.Exact(*query, answer);
+    append("exact_ur=" + exact.ur.numerator.ToString() + "/" +
+           exact.ur.denominator.ToString());
+    append("exact_us=" + exact.us.numerator.ToString() + "/" +
+           exact.us.denominator.ToString());
+    trace->AddCount("exact_outcomes", exact.outcomes);
   }
   if (timed_out(&out)) return out;
   if (all || request.mode == RequestMode::kFpras) {

@@ -139,7 +139,7 @@ TEST(DistributionTest, ApproxUsOnInterleavingHeavyInstance) {
   keys.SetKeyOrDie(s.Find("V"), {0});
   ConjunctiveQuery q = *ParseQuery("Ans() :- R(x,y), V(z,y)");
   OcqaEngine engine(db, keys);
-  ExactRF exact = engine.ExactUs(q, {});
+  ExactRF exact = engine.Exact(q, {}).us;
   ASSERT_FALSE(exact.numerator.IsZero());
   OcqaOptions options;
   options.fpras.epsilon = 0.15;

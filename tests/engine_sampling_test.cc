@@ -82,7 +82,7 @@ TEST(EngineSamplingTest, UngroupedFprasStillCorrect) {
   keys.SetKeyOrDie(s.Find("R"), {0});
   ConjunctiveQuery q = *ParseQuery("Ans() :- R(x,y)");
   OcqaEngine engine(db, keys);
-  ExactRF exact = engine.ExactUr(q, {});
+  ExactRF exact = engine.Exact(q, {}).ur;
   OcqaOptions options;
   options.fpras.epsilon = 0.1;
   options.fpras.seed = 13;

@@ -90,13 +90,13 @@ TEST(CompositeKeyTest, PipelineWithTwoAttributeKey) {
 
   ConjunctiveQuery q = *ParseQuery("Ans() :- R(a,b,c), W(c)");
   OcqaEngine engine(db, keys);
-  ExactRF exact = engine.ExactUr(q, {});
+  ExactFrequencies exact = engine.Exact(q, {});
   auto via_automaton = engine.RepairsEntailingViaAutomaton(q, {});
   ASSERT_TRUE(via_automaton.ok()) << via_automaton.status().ToString();
-  EXPECT_EQ(*via_automaton, exact.numerator);
+  EXPECT_EQ(*via_automaton, exact.ur.numerator);
   auto seq_automaton = engine.SequencesEntailingViaAutomaton(q, {});
   ASSERT_TRUE(seq_automaton.ok());
-  EXPECT_EQ(*seq_automaton, engine.ExactUs(q, {}).numerator);
+  EXPECT_EQ(*seq_automaton, exact.us.numerator);
 }
 
 TEST(DegenerateTest, ConsistentDatabase) {
@@ -108,7 +108,7 @@ TEST(DegenerateTest, ConsistentDatabase) {
   keys.SetKeyOrDie(s.Find("R"), {0});
   ConjunctiveQuery q = *ParseQuery("Ans() :- R(x,y)");
   OcqaEngine engine(db, keys);
-  ExactRF ur = engine.ExactUr(q, {});
+  ExactRF ur = engine.Exact(q, {}).ur;
   EXPECT_TRUE(ur.denominator.IsOne());
   EXPECT_TRUE(ur.numerator.IsOne());
   auto approx = engine.ApproxUr(q, {});
@@ -127,7 +127,7 @@ TEST(DegenerateTest, EmptyDatabase) {
   keys.SetKeyOrDie(s.Find("R"), {0});
   ConjunctiveQuery q = *ParseQuery("Ans() :- R(x,y)");
   OcqaEngine engine(db, keys);
-  ExactRF ur = engine.ExactUr(q, {});
+  ExactRF ur = engine.Exact(q, {}).ur;
   EXPECT_TRUE(ur.denominator.IsOne());  // the empty repair
   EXPECT_TRUE(ur.numerator.IsZero());
   auto approx = engine.ApproxUr(q, {});
@@ -172,7 +172,7 @@ TEST(AnswerTupleTest, UnknownConstantGivesZero) {
   ConjunctiveQuery q = *ParseQuery("Ans(y) :- R(x,y)");
   OcqaEngine engine(db, keys);
   std::vector<Value> answer = {ValuePool::Intern("not-in-domain")};
-  EXPECT_TRUE(engine.ExactUr(q, answer).numerator.IsZero());
+  EXPECT_TRUE(engine.Exact(q, answer).ur.numerator.IsZero());
   auto via_automaton = engine.RepairsEntailingViaAutomaton(q, answer);
   ASSERT_TRUE(via_automaton.ok());
   EXPECT_TRUE(via_automaton->IsZero());

@@ -132,12 +132,10 @@ TEST(MvccDifferentialTest, IngestedPrefixesMatchFreshLoads) {
                                    snap->denominators->crs());
       OcqaEngine fresh_engine(fresh, full.keys);
 
-      ExactRF live_ur = live_engine.ExactUr(query, answer);
-      ExactRF fresh_ur = fresh_engine.ExactUr(query, answer);
-      EXPECT_TRUE(live_ur == fresh_ur);
-      ExactRF live_us = live_engine.ExactUs(query, answer);
-      ExactRF fresh_us = fresh_engine.ExactUs(query, answer);
-      EXPECT_TRUE(live_us == fresh_us);
+      ExactFrequencies live_exact = live_engine.Exact(query, answer);
+      ExactFrequencies fresh_exact = fresh_engine.Exact(query, answer);
+      EXPECT_TRUE(live_exact.ur == fresh_exact.ur);
+      EXPECT_TRUE(live_exact.us == fresh_exact.us);
 
       OcqaOptions opt;
       opt.fpras.epsilon = 0.5;
@@ -295,7 +293,7 @@ TEST(MvccTest, StaleSnapshotsReplayPreIngestResultsBitIdentically) {
   OcqaEngine pinned(*stale->db, keys);
   pinned.SeedDenominators(stale->denominators->orep(),
                           stale->denominators->crs());
-  ExactRF exact_before = pinned.ExactUr(*query, answer);
+  ExactRF exact_before = pinned.Exact(*query, answer).ur;
   OcqaOptions opt;
   opt.fpras.epsilon = 0.5;
   opt.fpras.delta = 0.25;
@@ -318,7 +316,7 @@ TEST(MvccTest, StaleSnapshotsReplayPreIngestResultsBitIdentically) {
   EXPECT_EQ(stale->epoch, 0u);
   EXPECT_EQ(stale->fingerprint, fingerprint_before);
   EXPECT_EQ(stale->db->size(), 5u);
-  EXPECT_TRUE(pinned.ExactUr(*query, answer) == exact_before);
+  EXPECT_TRUE(pinned.Exact(*query, answer).ur == exact_before);
   Result<ApproxRF> fpras_again = pinned.ApproxUr(*query, answer, opt);
   ASSERT_TRUE(fpras_again.ok());
   EXPECT_EQ(fpras_again->value, fpras_before->value);
@@ -327,7 +325,7 @@ TEST(MvccTest, StaleSnapshotsReplayPreIngestResultsBitIdentically) {
   // A fresh engine over the stale snapshot agrees too (no hidden state in
   // the pinned engine).
   OcqaEngine rebuilt(*stale->db, keys);
-  EXPECT_TRUE(rebuilt.ExactUr(*query, answer) == exact_before);
+  EXPECT_TRUE(rebuilt.Exact(*query, answer).ur == exact_before);
   Result<ApproxRF> fpras_rebuilt = rebuilt.ApproxUr(*query, answer, opt);
   ASSERT_TRUE(fpras_rebuilt.ok());
   EXPECT_EQ(fpras_rebuilt->value, fpras_before->value);
@@ -335,7 +333,7 @@ TEST(MvccTest, StaleSnapshotsReplayPreIngestResultsBitIdentically) {
   // While the latest epoch genuinely serves the grown instance.
   OcqaEngine grown(*latest->db, keys);
   EXPECT_EQ(latest->db->size(), 7u);
-  EXPECT_FALSE(grown.ExactUr(*query, answer) == exact_before);
+  EXPECT_FALSE(grown.Exact(*query, answer).ur == exact_before);
 }
 
 // --- fingerprint memoization ----------------------------------------------

@@ -217,6 +217,56 @@ TEST(ObservabilityTest, TraceGrammarNamesStagesAndCounts) {
   EXPECT_EQ(hit.trace.find("fpras_trials_us="), std::string::npos);
 }
 
+TEST(ObservabilityTest, ExactTraceCountsConflictOutcomesAtEveryLaneCount) {
+  // The exact pass visits every outcome vector of the conflicting blocks,
+  // Emp's e1 block and Dept's hw block (two facts each): 3 * 3 = 9, for
+  // every query and answer over the instance, at every lane count.
+  auto lines = [](bool trace) -> std::vector<std::string> {
+    const std::string t = trace ? " trace=1" : "";
+    return {
+        "query='Ans(x) :- Emp(x, y), Dept(y, z)' answer=e1 mode=exact" + t,
+        "query='Ans(x) :- Emp(x, y), Dept(y, z)' answer=e2 mode=exact" + t,
+        "query='Ans(x) :- Emp(x, y)' answer=e3 mode=exact" + t,
+        "query='Ans(x) :- Emp(x, y), Dept(y, z)' answer=e1 mode=all"
+        " epsilon=0.5 delta=0.2 samples=100 seed=7" + t,
+    };
+  };
+  auto outcomes_field = [](const std::string& trace) -> std::string {
+    const std::string key = "exact_outcomes=";
+    size_t at = trace.find(key);
+    if (at == std::string::npos) return "";
+    at += key.size();
+    return trace.substr(at, trace.find(' ', at) - at);
+  };
+  ParsedInstance inst = LoadInstance();
+  std::vector<ServiceResponse> baseline =
+      QueryService(inst.db, inst.keys).ExecuteBatchLines(lines(false), 1);
+  for (size_t lanes : {size_t{1}, size_t{4}}) {
+    for (bool metrics : {false, true}) {
+      ServiceOptions options;
+      options.metrics_enabled = metrics;
+      for (bool trace : {false, true}) {
+        QueryService service(inst.db, inst.keys, options);
+        std::vector<ServiceResponse> run =
+            service.ExecuteBatchLines(lines(trace), lanes);
+        ASSERT_EQ(run.size(), baseline.size());
+        for (size_t i = 0; i < run.size(); ++i) {
+          ASSERT_TRUE(run[i].status.ok()) << i;
+          EXPECT_FALSE(run[i].cache_hit) << i;
+          EXPECT_EQ(run[i].payload, baseline[i].payload)
+              << i << " lanes " << lanes << " metrics " << metrics;
+          if (trace) {
+            EXPECT_EQ(outcomes_field(run[i].trace), "9")
+                << i << " lanes " << lanes << ": " << run[i].trace;
+          } else {
+            EXPECT_TRUE(run[i].trace.empty()) << i;
+          }
+        }
+      }
+    }
+  }
+}
+
 // --- stats compatibility -----------------------------------------------------
 
 TEST(ObservabilityTest, StatsLineFormatIsIndependentOfMetrics) {

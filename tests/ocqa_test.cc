@@ -302,7 +302,7 @@ TEST(EngineTest, ExactMatchesAutomatonOnAllInstances) {
 TEST(EngineTest, ApproxUrTracksExact) {
   Instance inst = Paper51Instance();
   OcqaEngine engine(inst.db, inst.keys);
-  ExactRF exact = engine.ExactUr(inst.query, inst.answer);
+  ExactRF exact = engine.Exact(inst.query, inst.answer).ur;
   OcqaOptions options;
   options.fpras.epsilon = 0.1;
   options.fpras.seed = 21;
@@ -315,7 +315,7 @@ TEST(EngineTest, ApproxUrTracksExact) {
 TEST(EngineTest, ApproxUsTracksExact) {
   Instance inst = EmpInstance();
   OcqaEngine engine(inst.db, inst.keys);
-  ExactRF exact = engine.ExactUs(inst.query, inst.answer);
+  ExactRF exact = engine.Exact(inst.query, inst.answer).us;
   OcqaOptions options;
   options.fpras.epsilon = 0.1;
   options.fpras.seed = 22;
@@ -327,8 +327,9 @@ TEST(EngineTest, ApproxUsTracksExact) {
 TEST(EngineTest, MonteCarloBaselinesConverge) {
   Instance inst = Paper51Instance();
   OcqaEngine engine(inst.db, inst.keys);
-  ExactRF ur = engine.ExactUr(inst.query, inst.answer);
-  ExactRF us = engine.ExactUs(inst.query, inst.answer);
+  ExactFrequencies exact = engine.Exact(inst.query, inst.answer);
+  const ExactRF& ur = exact.ur;
+  const ExactRF& us = exact.us;
   double mc_ur = engine.MonteCarloUr(inst.query, inst.answer, 20000, 5);
   double mc_us = engine.MonteCarloUs(inst.query, inst.answer, 20000, 6);
   EXPECT_NEAR(mc_ur, ur.value(), 0.02);

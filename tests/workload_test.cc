@@ -61,7 +61,7 @@ TEST(GeneratorsTest, GeneratedInstancesHaveNontrivialRf) {
     options.domain_size = 3;
     GeneratedInstance inst = GenerateDatabaseForQuery(rng, q, options);
     OcqaEngine engine(inst.db, inst.keys);
-    ExactRF rf = engine.ExactUr(q, {});
+    ExactRF rf = engine.Exact(q, {}).ur;
     double v = rf.value();
     if (v > 0.0 && v < 1.0) found_fractional = true;
   }

@@ -249,8 +249,10 @@ int main(int argc, char** argv) {
     bool all = opts.mode == "all";
     if (all || opts.mode == "exact") {
       metrics::ScopedStage exact_stage(nullptr, &trace, "exact_dp_us");
-      ExactRF ur = engine.ExactUr(*query, answer);
-      ExactRF us = engine.ExactUs(*query, answer);
+      ExactFrequencies exact = engine.Exact(*query, answer);
+      const ExactRF& ur = exact.ur;
+      const ExactRF& us = exact.us;
+      trace.AddCount("exact_outcomes", exact.outcomes);
       std::printf("exact  RF_ur = %s / %s = %.6f\n",
                   ur.numerator.ToString().c_str(),
                   ur.denominator.ToString().c_str(), ur.value());

@@ -61,6 +61,101 @@ void Nfta::AddTransition(NftaState from, NftaSymbol symbol,
   ++transition_count_;
 }
 
+void Nfta::Trim() {
+  // Productive states, bottom-up: a transition fires once its last
+  // unproductive child position turns productive. `pending[t]` counts those
+  // positions of transition t (with multiplicity), `users[q]` lists the
+  // transitions with q at some child position (once per position).
+  std::vector<const NftaTransition*> flat;
+  flat.reserve(transition_count_);
+  for (const auto& bucket : transitions_) {
+    for (const NftaTransition& t : bucket) flat.push_back(&t);
+  }
+  std::vector<uint32_t> pending(flat.size());
+  std::vector<std::vector<uint32_t>> users(state_count_);
+  std::vector<char> productive(state_count_, 0);
+  std::vector<NftaState> work;
+  auto mark_productive = [&](NftaState q) {
+    if (!productive[q]) {
+      productive[q] = 1;
+      work.push_back(q);
+    }
+  };
+  for (uint32_t t = 0; t < flat.size(); ++t) {
+    pending[t] = static_cast<uint32_t>(flat[t]->children.size());
+    for (NftaState c : flat[t]->children) users[c].push_back(t);
+    if (pending[t] == 0) mark_productive(flat[t]->from);
+  }
+  while (!work.empty()) {
+    NftaState q = work.back();
+    work.pop_back();
+    for (uint32_t t : users[q]) {
+      if (--pending[t] == 0) mark_productive(flat[t]->from);
+    }
+  }
+
+  // Reachable states, top-down through the useful transitions: those whose
+  // children are all productive.
+  auto useful = [&](const NftaTransition& t) {
+    for (NftaState c : t.children) {
+      if (!productive[c]) return false;
+    }
+    return true;
+  };
+  std::vector<char> keep(state_count_, 0);
+  if (initial_ != kNoNftaState && productive[initial_]) {
+    keep[initial_] = 1;
+    work.push_back(initial_);
+  }
+  while (!work.empty()) {
+    NftaState q = work.back();
+    work.pop_back();
+    for (const NftaTransition& t : transitions_[q]) {
+      if (!useful(t)) continue;
+      for (NftaState c : t.children) {
+        if (!keep[c]) {
+          keep[c] = 1;
+          work.push_back(c);
+        }
+      }
+    }
+  }
+
+  std::vector<NftaState> new_id(state_count_, kNoNftaState);
+  size_t kept = 0;
+  for (NftaState q = 0; q < state_count_; ++q) {
+    if (keep[q]) new_id[q] = static_cast<NftaState>(kept++);
+  }
+  // With every state kept, every child is productive: nothing to drop.
+  if (kept > 0 && kept == state_count_) return;
+
+  std::vector<std::vector<NftaTransition>> trimmed(std::max<size_t>(kept, 1));
+  size_t transitions = 0;
+  size_t max_rank = 0;
+  for (NftaState q = 0; q < state_count_; ++q) {
+    if (!keep[q]) continue;
+    for (const NftaTransition& t : transitions_[q]) {
+      if (!useful(t)) continue;
+      NftaTransition out{new_id[q], t.symbol, t.children};
+      for (NftaState& c : out.children) c = new_id[c];
+      max_rank = std::max(max_rank, out.children.size());
+      trimmed[new_id[q]].push_back(std::move(out));
+      ++transitions;
+    }
+  }
+  // An empty language keeps a lone initial state with no transitions.
+  state_count_ = std::max<size_t>(kept, 1);
+  initial_ = kept == 0 ? 0 : new_id[initial_];
+  transitions_ = std::move(trimmed);
+  transition_count_ = transitions;
+  max_rank_ = max_rank;
+  // The symbol index points into the old buckets and the compiled view may
+  // match the new counts by coincidence: drop both.
+  by_symbol_.clear();
+  indexed_transition_count_ = static_cast<size_t>(-1);
+  compiled_.reset();
+}
+
 const std::vector<NftaTransition>& Nfta::TransitionsFrom(NftaState s) const {
   if (s >= transitions_.size()) return empty_;
   return transitions_[s];

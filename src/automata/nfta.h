@@ -90,6 +90,17 @@ class Nfta {
   size_t transition_count() const { return transition_count_; }
   size_t MaxRank() const { return max_rank_; }
 
+  /// Drops every useless state in linear time: first the productive states
+  /// (those accepting some tree), then those reachable from the initial
+  /// state through transitions whose children are all productive. Every
+  /// other state, and every transition touching one, goes. The language of
+  /// every surviving state is unchanged. Survivors are renumbered in their
+  /// original relative order, each keeps its surviving transitions in their
+  /// original order, and symbols are untouched (symbol ids stay valid). An
+  /// empty language leaves one initial state with no transitions. Idempotent;
+  /// invalidates the lazy views like AddTransition does.
+  void Trim();
+
   /// All states q that accept `tree` (the tree's behaviour), sorted.
   std::vector<NftaState> AcceptingStates(const LabeledTree& tree) const;
 

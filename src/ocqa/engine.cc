@@ -65,9 +65,11 @@ Result<const RepAutomaton*> CompiledQuery::Rep(
         RepAutomaton rep,
         BuildRepAutomaton(nf_.db, keys_, nf_.query, nf_.decomposition,
                           answer_tuple, options));
-    // Warm the lazy views (symbol index + CSR/bitset compiled form) before
+    // Drop the useless states every solver below would pay for, then warm
+    // the lazy views (symbol index + CSR/bitset compiled form) before
     // publishing: concurrent serving requests may only ever *read* the
     // memoized automaton, and every solver below runs on the compiled view.
+    rep.nfta.Trim();
     rep.nfta.EnsureCompiled();
     it = rep_.emplace(std::move(key),
                       std::make_unique<RepAutomaton>(std::move(rep)))
@@ -85,6 +87,7 @@ Result<const SeqAutomaton*> CompiledQuery::Seq(
         SeqAutomaton seq,
         BuildSeqAutomaton(nf_.db, keys_, nf_.query, nf_.decomposition,
                           answer_tuple));
+    seq.nfta.Trim();
     seq.nfta.EnsureCompiled();
     it = seq_.emplace(answer_tuple,
                       std::make_unique<SeqAutomaton>(std::move(seq)))

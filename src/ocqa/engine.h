@@ -118,11 +118,13 @@ class CompiledQuery {
   /// stats verb read it back without replanning.
   const QueryPlan& plan() const { return plan_; }
 
-  /// The Rep[k] automaton for `answer_tuple`, compiled on first use and
-  /// memoized. The pointer stays valid for the CompiledQuery's lifetime.
+  /// The Rep[k] automaton for `answer_tuple`, compiled on first use,
+  /// trimmed to its useful states (Nfta::Trim) and memoized. The pointer
+  /// stays valid for the CompiledQuery's lifetime.
   Result<const RepAutomaton*> Rep(const std::vector<Value>& answer_tuple,
                                   bool classical_repairs = false) const;
-  /// The Seq[k] automaton for `answer_tuple`, compiled on first use.
+  /// The Seq[k] automaton for `answer_tuple`, compiled on first use and
+  /// trimmed the same way.
   Result<const SeqAutomaton*> Seq(const std::vector<Value>& answer_tuple)
       const;
 

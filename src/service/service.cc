@@ -697,6 +697,12 @@ ServiceResponse QueryService::RunQueryCore(const Request& request,
       trace->AddCount("fpras_trials",
                       (ur.ok() ? ur->union_trials : 0) +
                           (us.ok() ? us->union_trials : 0));
+      trace->AddCount("nfta_states",
+                      (ur.ok() ? ur->automaton_states : 0) +
+                          (us.ok() ? us->automaton_states : 0));
+      trace->AddCount("nfta_transitions",
+                      (ur.ok() ? ur->automaton_transitions : 0) +
+                          (us.ok() ? us->automaton_transitions : 0));
     }
   }
   if (timed_out(&out)) return out;

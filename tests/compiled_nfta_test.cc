@@ -249,6 +249,200 @@ TEST(CompiledNftaTest, WorkspaceReusableAcrossAutomata) {
   }
 }
 
+// --- Trim --------------------------------------------------------------------
+
+// A random rank <= 2 automaton over 1-3 symbols whose state ids interleave
+// three roles: live states (random transitions among live states, some of
+// which also use a dead child), planted dead states (every transition has
+// a dead child, so none accepts a tree) and planted unreachable states
+// (productive, but no live or dead state's transition names them).
+Nfta RandomAutomatonWithDeadStates(uint64_t seed) {
+  Rng rng(seed);
+  Nfta a;
+  size_t n_states = 6 + rng.UniformIndex(10);
+  size_t n_symbols = 1 + rng.UniformIndex(3);
+  enum Role { kLive, kDead, kUnreachable };
+  std::vector<Role> role(n_states, kLive);
+  std::vector<NftaState> live, dead, unreachable;
+  for (size_t q = 0; q < n_states; ++q) {
+    a.AddState();
+    // The initial state 0 stays live, states 1 and 2 plant one dead and
+    // one unreachable state, and every other role is drawn.
+    if (q == 1) role[q] = kDead;
+    if (q == 2) role[q] = kUnreachable;
+    if (q > 2) role[q] = static_cast<Role>(rng.UniformIndex(3));
+    (role[q] == kLive ? live : role[q] == kDead ? dead : unreachable)
+        .push_back(static_cast<NftaState>(q));
+  }
+  for (size_t s = 0; s < n_symbols; ++s) {
+    a.InternSymbol("s" + std::to_string(s));
+  }
+  auto pick = [&](const std::vector<NftaState>& from) {
+    return from[rng.UniformIndex(from.size())];
+  };
+  auto symbol = [&] {
+    return static_cast<NftaSymbol>(rng.UniformIndex(n_symbols));
+  };
+  size_t n_transitions = 6 + rng.UniformIndex(14);
+  for (size_t i = 0; i < n_transitions; ++i) {
+    size_t rank = rng.UniformIndex(3);
+    std::vector<NftaState> children;
+    for (size_t r = 0; r < rank; ++r) children.push_back(pick(live));
+    if (!dead.empty() && rank > 0 && rng.UniformIndex(3) == 0) {
+      children[rng.UniformIndex(rank)] = pick(dead);
+    }
+    a.AddTransition(pick(live), symbol(), std::move(children));
+  }
+  for (NftaState d : dead) {
+    // A self-loop and a mixed binary transition, both through a dead child.
+    a.AddTransition(d, symbol(), {pick(dead)});
+    a.AddTransition(d, symbol(), {pick(live), d});
+  }
+  for (NftaState u : unreachable) {
+    a.AddTransition(u, symbol(), {});
+    a.AddTransition(u, symbol(), {pick(live), pick(unreachable)});
+  }
+  a.SetInitial(0);
+  return a;
+}
+
+// The reference trim: the naive fixpoints, and the survivors listed in
+// their original order (the renumbering Trim must produce).
+std::vector<NftaState> ReferenceSurvivors(const Nfta& a) {
+  std::vector<bool> productive(a.state_count(), false);
+  auto useful = [&](const NftaTransition& t) {
+    for (NftaState c : t.children) {
+      if (!productive[c]) return false;
+    }
+    return true;
+  };
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (NftaState q = 0; q < a.state_count(); ++q) {
+      if (productive[q]) continue;
+      for (const NftaTransition& t : a.TransitionsFrom(q)) {
+        if (useful(t)) {
+          productive[q] = changed = true;
+          break;
+        }
+      }
+    }
+  }
+  std::vector<bool> reached(a.state_count(), false);
+  if (productive[a.initial()]) reached[a.initial()] = true;
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (NftaState q = 0; q < a.state_count(); ++q) {
+      if (!reached[q]) continue;
+      for (const NftaTransition& t : a.TransitionsFrom(q)) {
+        if (!useful(t)) continue;
+        for (NftaState c : t.children) {
+          if (!reached[c]) reached[c] = changed = true;
+        }
+      }
+    }
+  }
+  std::vector<NftaState> out;
+  for (NftaState q = 0; q < a.state_count(); ++q) {
+    if (reached[q]) out.push_back(q);
+  }
+  return out;
+}
+
+class TrimTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(TrimTest, PreservesLanguageOrderAndIsIdempotent) {
+  Nfta a = RandomAutomatonWithDeadStates(GetParam() * 7919 + 3);
+  Nfta t = a;
+  t.Trim();
+  std::vector<NftaState> survivors = ReferenceSurvivors(a);
+
+  if (survivors.empty()) {
+    EXPECT_EQ(t.state_count(), 1u);
+    EXPECT_EQ(t.transition_count(), 0u);
+  } else {
+    // Survivors in their original order, each with its useful transitions
+    // in their original order.
+    ASSERT_EQ(t.state_count(), survivors.size());
+    std::vector<NftaState> new_id(a.state_count(), kNoNftaState);
+    for (size_t i = 0; i < survivors.size(); ++i) {
+      new_id[survivors[i]] = static_cast<NftaState>(i);
+    }
+    EXPECT_EQ(t.initial(), new_id[a.initial()]);
+    size_t transitions = 0;
+    for (size_t i = 0; i < survivors.size(); ++i) {
+      std::vector<NftaTransition> want;
+      for (const NftaTransition& tr : a.TransitionsFrom(survivors[i])) {
+        NftaTransition m{static_cast<NftaState>(i), tr.symbol, tr.children};
+        bool useful = true;
+        for (NftaState& c : m.children) {
+          useful = useful && new_id[c] != kNoNftaState;
+          c = new_id[c];
+        }
+        if (useful) want.push_back(std::move(m));
+      }
+      EXPECT_EQ(t.TransitionsFrom(static_cast<NftaState>(i)), want)
+          << "state " << survivors[i];
+      transitions += want.size();
+    }
+    EXPECT_EQ(t.transition_count(), transitions);
+    // The planted dead and unreachable states are gone.
+    EXPECT_LT(t.state_count(), a.state_count());
+  }
+  EXPECT_EQ(t.symbol_count(), a.symbol_count());
+
+  ExactTreeCounter ca(a), ct(t);
+  for (size_t size = 1; size <= 8; ++size) {
+    EXPECT_EQ(ct.CountExactSize(size), ca.CountExactSize(size))
+        << "size " << size;
+  }
+  for (size_t size = 1; size <= 6; ++size) {
+    std::vector<LabeledTree> trees;
+    EnumerateTrees(a.symbol_count(), size, 2, &trees);
+    for (const LabeledTree& tree : trees) {
+      ASSERT_EQ(t.Accepts(tree), a.Accepts(tree)) << a.TreeToString(tree);
+    }
+  }
+
+  Nfta again = t;
+  again.Trim();
+  EXPECT_EQ(again.state_count(), t.state_count());
+  EXPECT_EQ(again.initial(), t.initial());
+  EXPECT_EQ(again.transition_count(), t.transition_count());
+  for (NftaState q = 0; q < t.state_count(); ++q) {
+    EXPECT_EQ(again.TransitionsFrom(q), t.TransitionsFrom(q));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TrimTest,
+                         ::testing::Range(uint64_t{1}, uint64_t{41}));
+
+TEST(TrimTest, EmptyLanguageLeavesOneBareInitialState) {
+  Nfta a;
+  NftaState dead = a.AddState();
+  NftaState leaf = a.AddState();
+  NftaSymbol x = a.InternSymbol("x");
+  NftaSymbol y = a.InternSymbol("y");
+  a.AddTransition(leaf, y, {});
+  a.AddTransition(dead, x, {dead, leaf});
+  a.SetInitial(dead);
+  EXPECT_FALSE(a.Accepts(LabeledTree(y)));
+  a.EnsureCompiled();  // a stale compiled view must not survive the trim
+  a.Trim();
+  EXPECT_EQ(a.state_count(), 1u);
+  EXPECT_EQ(a.transition_count(), 0u);
+  EXPECT_EQ(a.initial(), 0u);
+  EXPECT_EQ(a.symbol_count(), 2u);
+  EXPECT_EQ(a.Compiled().state_count(), 1u);
+  EXPECT_TRUE(a.TransitionsWithSymbol(y).empty());
+  EXPECT_FALSE(a.Accepts(LabeledTree(y)));
+  ExactTreeCounter counter(a);
+  EXPECT_EQ(counter.CountUpTo(6), BigInt(0));
+  NftaFpras fpras(a);
+  EXPECT_EQ(fpras.EstimateUpTo(6), 0.0);
+  EXPECT_EQ(fpras.union_estimations(), 0u);
+}
+
 // --- FPRAS bit-identity pins -------------------------------------------------
 //
 // The flattening rewrote proportional selection (prefix sums + binary

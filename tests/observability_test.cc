@@ -95,6 +95,15 @@ void ExpectSamePayloadBytes(const RunResult& a, const RunResult& b,
   }
 }
 
+/// The value of count `name` in a rendered trace, or "" if absent.
+std::string TraceCount(const std::string& trace, const std::string& name) {
+  const std::string key = name + "=";
+  size_t at = trace.find(key);
+  if (at == std::string::npos) return "";
+  at += key.size();
+  return trace.substr(at, trace.find(' ', at) - at);
+}
+
 // --- the byte-identity contract ---------------------------------------------
 
 TEST(ObservabilityTest, PayloadBytesIdenticalWithMetricsAndTraceAcrossLanes) {
@@ -204,7 +213,8 @@ TEST(ObservabilityTest, TraceGrammarNamesStagesAndCounts) {
   for (const char* key :
        {"parse_us=", "result_cache_us=", "plan_us=", "compile_us=",
         "planner_us=", "fpras_trials_us=", "total_us=", "cache_hit=0",
-        "planner_nodes=", "fpras_trials="}) {
+        "planner_nodes=", "fpras_trials=", "nfta_states=",
+        "nfta_transitions="}) {
     EXPECT_NE(miss.trace.find(key), std::string::npos)
         << key << " missing from: " << miss.trace;
   }
@@ -231,13 +241,6 @@ TEST(ObservabilityTest, ExactTraceCountsConflictOutcomesAtEveryLaneCount) {
         " epsilon=0.5 delta=0.2 samples=100 seed=7" + t,
     };
   };
-  auto outcomes_field = [](const std::string& trace) -> std::string {
-    const std::string key = "exact_outcomes=";
-    size_t at = trace.find(key);
-    if (at == std::string::npos) return "";
-    at += key.size();
-    return trace.substr(at, trace.find(' ', at) - at);
-  };
   ParsedInstance inst = LoadInstance();
   std::vector<ServiceResponse> baseline =
       QueryService(inst.db, inst.keys).ExecuteBatchLines(lines(false), 1);
@@ -256,7 +259,7 @@ TEST(ObservabilityTest, ExactTraceCountsConflictOutcomesAtEveryLaneCount) {
           EXPECT_EQ(run[i].payload, baseline[i].payload)
               << i << " lanes " << lanes << " metrics " << metrics;
           if (trace) {
-            EXPECT_EQ(outcomes_field(run[i].trace), "9")
+            EXPECT_EQ(TraceCount(run[i].trace, "exact_outcomes"), "9")
                 << i << " lanes " << lanes << ": " << run[i].trace;
           } else {
             EXPECT_TRUE(run[i].trace.empty()) << i;
@@ -265,6 +268,76 @@ TEST(ObservabilityTest, ExactTraceCountsConflictOutcomesAtEveryLaneCount) {
       }
     }
   }
+}
+
+TEST(ObservabilityTest, FprasTraceCountsServedAutomatonSizesAtEveryLaneCount) {
+  // nfta_states / nfta_transitions are the Rep[k] + Seq[k] sizes as served
+  // (after the trim): deterministic, so equal at every lane count, and
+  // present only on requests that ran the FPRAS.
+  auto lines = [](bool trace) -> std::vector<std::string> {
+    const std::string t = trace ? " trace=1" : "";
+    return {
+        "query='Ans(x) :- Emp(x, y), Dept(y, z)' answer=e1 mode=fpras"
+        " epsilon=0.5 delta=0.2 seed=7" + t,
+        "query='Ans(x) :- Emp(x, y), Dept(y, z)' answer=e2 mode=fpras"
+        " epsilon=0.5 delta=0.2 seed=7" + t,
+        // No Dept fact joins e4: an RF = 0 answer, trimmed to one bare
+        // state per side.
+        "query='Ans(x) :- Emp(x, y), Dept(y, z)' answer=e4 mode=fpras"
+        " epsilon=0.5 delta=0.2 seed=7" + t,
+        "query='Ans(x) :- Emp(x, y), Dept(y, z)' answer=e1 mode=all"
+        " epsilon=0.5 delta=0.2 samples=100 seed=3" + t,
+        "query='Ans(x) :- Emp(x, y), Dept(y, z)' answer=e1 mode=exact" + t,
+    };
+  };
+  ParsedInstance inst = LoadInstance();
+  inst.db.Add("Emp", {"e4", "ops"});
+  std::vector<ServiceResponse> baseline =
+      QueryService(inst.db, inst.keys).ExecuteBatchLines(lines(false), 1);
+  std::vector<std::string> states, transitions;
+  for (size_t lanes : {size_t{1}, size_t{4}}) {
+    for (bool metrics : {false, true}) {
+      ServiceOptions options;
+      options.metrics_enabled = metrics;
+      for (bool trace : {false, true}) {
+        QueryService service(inst.db, inst.keys, options);
+        std::vector<ServiceResponse> run =
+            service.ExecuteBatchLines(lines(trace), lanes);
+        ASSERT_EQ(run.size(), baseline.size());
+        for (size_t i = 0; i < run.size(); ++i) {
+          ASSERT_TRUE(run[i].status.ok()) << i;
+          EXPECT_EQ(run[i].payload, baseline[i].payload)
+              << i << " lanes " << lanes << " metrics " << metrics;
+          if (!trace) {
+            EXPECT_TRUE(run[i].trace.empty()) << i;
+            continue;
+          }
+          std::string s = TraceCount(run[i].trace, "nfta_states");
+          std::string t = TraceCount(run[i].trace, "nfta_transitions");
+          if (i + 1 == run.size()) {  // mode=exact builds no automaton
+            EXPECT_EQ(s, "") << run[i].trace;
+            EXPECT_EQ(t, "") << run[i].trace;
+            continue;
+          }
+          ASSERT_NE(s, "") << i << ": " << run[i].trace;
+          ASSERT_NE(t, "") << i << ": " << run[i].trace;
+          if (states.size() < run.size() - 1) {
+            states.push_back(s);
+            transitions.push_back(t);
+          }
+          EXPECT_EQ(s, states[i]) << i << " lanes " << lanes;
+          EXPECT_EQ(t, transitions[i]) << i << " lanes " << lanes;
+        }
+      }
+    }
+  }
+  // The RF = 0 answer serves two one-state automata with no transitions.
+  EXPECT_EQ(states[2], "2");
+  EXPECT_EQ(transitions[2], "0");
+  EXPECT_NE(states[0], "2");
+  // mode=all over the same plan reports the same automata as mode=fpras.
+  EXPECT_EQ(states[3], states[0]);
+  EXPECT_EQ(transitions[3], transitions[0]);
 }
 
 // --- stats compatibility -----------------------------------------------------

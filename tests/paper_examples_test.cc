@@ -4,13 +4,18 @@
 //   * the §5.1 instance: |ORep| = 432, the tree encoding of the repair
 //     D' = {P(a1,c), S(c,d), T(d,a1), U(c,f), U(h,i)} (the paper's figure),
 //     and the fact that (D, Q, H) is already in normal form;
-//   * Example 5.4: s1 + s2 = 7560 + 1080 = 8640 sequences reach D'.
+//   * Example 5.4: s1 + s2 = 7560 + 1080 = 8640 sequences reach D';
+//   * the §5.1 automata as a compiled plan serves them, trimmed to their
+//     useful states, against the untrimmed construction.
 
 #include <gtest/gtest.h>
 
 #include "automata/exact_count.h"
+#include "automata/fpras.h"
+#include "base/thread_pool.h"
 #include "db/blocks.h"
 #include "hypertree/decomposition.h"
+#include "ocqa/engine.h"
 #include "ocqa/rep_builder.h"
 #include "ocqa/seq_builder.h"
 #include "query/parser.h"
@@ -141,6 +146,65 @@ TEST(Paper51Test, SeqAutomatonOnNormalFormInstance) {
   ExactTreeCounter counter(seq->nfta);
   EXPECT_EQ(counter.CountUpTo(seq->max_tree_size),
             CountSequencesEntailing(p.db, p.keys, p.query, {}));
+}
+
+// CompiledQuery::Rep/Seq trim the automata they serve (Nfta::Trim); the
+// builders stay the untrimmed construction. On this instance the Seq
+// automaton drops from over 12000 states to about 400, with equal exact
+// counts and bit-identical FPRAS estimates. The untrimmed Seq FPRAS takes
+// seconds per call, so the Seq side runs one seed (the smaller instances
+// of automaton_trim_test run the full seed grid).
+TEST(Paper51Test, TrimmedAutomataMatchTheConstruction) {
+  Paper51 p;
+  OcqaEngine engine(p.db, p.keys);
+  Result<CompiledQuery> compiled = engine.Compile(p.query);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  const NormalFormInstance& nf = compiled->nf();
+  auto raw_rep = BuildRepAutomaton(nf.db, compiled->keys(), nf.query,
+                                   nf.decomposition, {});
+  ASSERT_TRUE(raw_rep.ok());
+  auto raw_seq = BuildSeqAutomaton(nf.db, compiled->keys(), nf.query,
+                                   nf.decomposition, {});
+  ASSERT_TRUE(raw_seq.ok());
+  Result<const RepAutomaton*> rep = compiled->Rep({});
+  ASSERT_TRUE(rep.ok());
+  Result<const SeqAutomaton*> seq = compiled->Seq({});
+  ASSERT_TRUE(seq.ok());
+  EXPECT_LT((*rep)->nfta.state_count(), raw_rep->nfta.state_count());
+  EXPECT_LT((*seq)->nfta.state_count() * 10, raw_seq->nfta.state_count());
+
+  ExactTreeCounter rep_raw(raw_rep->nfta), rep_trim((*rep)->nfta);
+  EXPECT_EQ(rep_trim.CountExactSize(raw_rep->tree_size),
+            rep_raw.CountExactSize(raw_rep->tree_size));
+  ExactTreeCounter seq_raw(raw_seq->nfta), seq_trim((*seq)->nfta);
+  EXPECT_EQ(seq_trim.CountUpTo(raw_seq->max_tree_size),
+            seq_raw.CountUpTo(raw_seq->max_tree_size));
+
+  ThreadPool pool(4);
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    for (int schema : {1, 2}) {
+      for (size_t threads : {size_t{1}, size_t{4}}) {
+        FprasConfig config;
+        config.seed = seed;
+        config.seed_schema = schema;
+        config.threads = threads;
+        ThreadPool* lanes = threads == 1 ? nullptr : &pool;
+        NftaFpras rep_a(raw_rep->nfta, config, lanes);
+        NftaFpras rep_b((*rep)->nfta, config, lanes);
+        EXPECT_EQ(rep_a.EstimateExactSize(raw_rep->tree_size),
+                  rep_b.EstimateExactSize(raw_rep->tree_size))
+            << "seed " << seed << " schema " << schema;
+        EXPECT_EQ(rep_a.union_estimations(), rep_b.union_estimations());
+        if (seed != 1 || threads == 1) continue;
+        NftaFpras seq_a(raw_seq->nfta, config, lanes);
+        NftaFpras seq_b((*seq)->nfta, config, lanes);
+        EXPECT_EQ(seq_a.EstimateUpTo(raw_seq->max_tree_size),
+                  seq_b.EstimateUpTo(raw_seq->max_tree_size))
+            << "schema " << schema;
+        EXPECT_EQ(seq_a.union_estimations(), seq_b.union_estimations());
+      }
+    }
+  }
 }
 
 TEST(Example54Test, AmplifierFactorsMatchThePaper) {

@@ -286,6 +286,11 @@ int main(int argc, char** argv) {
       }
       trace.AddCount("fpras_trials", (ur.ok() ? ur->union_trials : 0) +
                                          (us.ok() ? us->union_trials : 0));
+      trace.AddCount("nfta_states", (ur.ok() ? ur->automaton_states : 0) +
+                                        (us.ok() ? us->automaton_states : 0));
+      trace.AddCount("nfta_transitions",
+                     (ur.ok() ? ur->automaton_transitions : 0) +
+                         (us.ok() ? us->automaton_transitions : 0));
     }
     if (all || opts.mode == "mc") {
       metrics::ScopedStage mc_stage(nullptr, &trace, "mc_trials_us");

@@ -1,9 +1,10 @@
 // E11 — ablation of the disjoint-group decomposition inside the ♯NFTA
-// estimator (DESIGN.md §4). Components of a union with different
-// (symbol, child-size) keys are provably disjoint, so the estimator can sum
-// them exactly and restrict Karp–Luby–Madras sampling to within-group
-// overlap. Disabling the grouping falls back to plain KLM over all
-// components: same asymptotics, but every union needs sampling, and the
+// estimator (docs/ARCHITECTURE.md, "Deviations and engineering notes").
+// Components of a union with different (symbol, child-size) keys are
+// provably disjoint, so the estimator can sum them exactly and restrict
+// Karp–Luby–Madras sampling to within-group overlap. Disabling the
+// grouping makes every union one group: same asymptotics, but every union
+// with an overlapping pair of components samples all of them, and the
 // table shows the extra union estimations, the extra time, and the error.
 
 #include <chrono>

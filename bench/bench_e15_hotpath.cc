@@ -554,6 +554,9 @@ void BM_LegacyFprasEstimate(benchmark::State& state) {
   FprasConfig cfg;
   cfg.epsilon = 0.2;
   cfg.seed = 17;
+  // The legacy clone runs the sequential trial path, so the cross-check
+  // runs NftaFpras under the same seed schema.
+  cfg.seed_schema = 1;
   double est = 0;
   size_t unions = 0;
   for (auto _ : state) {

@@ -184,4 +184,110 @@ void CompiledNfta::AppendSetBits(const uint64_t* words,
   k_->append_set_bits(words, words_per_set_, out);
 }
 
+bool CoAcceptance::CoAccepting(NftaState p, NftaState q) {
+  uint64_t key = Key(p, q);
+  auto it = verdict_.find(key);
+  if (it == verdict_.end()) {
+    Decide(key);
+    it = verdict_.find(key);
+  }
+  return it->second;
+}
+
+void CoAcceptance::Decide(uint64_t root) {
+  // Explore the undecided pairs reachable from `root`. A product
+  // transition (two transitions of the pair with equal symbol and rank)
+  // waits on its undecided child pairs; one with a decided-false child can
+  // never fire and is dropped, and one with no undecided child makes its
+  // pair co-accepting on the spot (its other product transitions are then
+  // not explored).
+  std::unordered_map<uint64_t, uint32_t> local;  // pair -> index in pairs
+  std::vector<uint64_t> pairs;
+  std::vector<char> accepted;           // per pair
+  std::vector<uint32_t> ready;          // accepted pairs not yet propagated
+  std::vector<uint32_t> owner;          // per product transition: its pair
+  std::vector<uint32_t> pending;        // per product transition
+  std::vector<std::pair<uint32_t, uint32_t>> waits;  // (child pair, product)
+  auto index_of = [&](uint64_t key) {
+    auto [it, fresh] =
+        local.try_emplace(key, static_cast<uint32_t>(pairs.size()));
+    if (fresh) {
+      pairs.push_back(key);
+      accepted.push_back(0);
+    }
+    return it->second;
+  };
+  std::vector<uint64_t> undecided;  // scratch: one product's child pairs
+  auto explore = [&](uint32_t i) {
+    NftaState p = static_cast<NftaState>(pairs[i] >> 32);
+    NftaState q = static_cast<NftaState>(pairs[i]);
+    CompiledNfta::IdRange from_p = c_.TransitionsFrom(p);
+    CompiledNfta::IdRange from_q = c_.TransitionsFrom(q);
+    for (CompiledNfta::TransitionId tp = from_p.begin; tp < from_p.end;
+         ++tp) {
+      // A diagonal pair only needs equal transitions: (p, p) co-accepts
+      // iff p is productive.
+      CompiledNfta::TransitionId tq_begin = p == q ? tp : from_q.begin;
+      CompiledNfta::TransitionId tq_end = p == q ? tp + 1 : from_q.end;
+      for (CompiledNfta::TransitionId tq = tq_begin; tq < tq_end; ++tq) {
+        if (c_.symbol(tp) != c_.symbol(tq) || c_.rank(tp) != c_.rank(tq)) {
+          continue;
+        }
+        const NftaState* kp = c_.children(tp);
+        const NftaState* kq = c_.children(tq);
+        bool dead = false;
+        undecided.clear();
+        for (uint32_t k = 0; k < c_.rank(tp) && !dead; ++k) {
+          uint64_t child = Key(kp[k], kq[k]);
+          auto v = verdict_.find(child);
+          if (v == verdict_.end()) {
+            undecided.push_back(child);
+          } else {
+            dead = !v->second;
+          }
+        }
+        if (dead) continue;
+        if (undecided.empty()) {
+          accepted[i] = 1;
+          ready.push_back(i);
+          return;
+        }
+        uint32_t product = static_cast<uint32_t>(owner.size());
+        owner.push_back(i);
+        pending.push_back(static_cast<uint32_t>(undecided.size()));
+        for (uint64_t child : undecided) {
+          waits.emplace_back(index_of(child), product);
+        }
+      }
+    }
+  };
+  index_of(root);
+  for (uint32_t i = 0; i < pairs.size(); ++i) explore(i);
+
+  // Least fixpoint: propagate acceptance to the product transitions waiting
+  // on each accepted pair (CSR by child pair).
+  std::vector<uint32_t> begin(pairs.size() + 1, 0);
+  for (const auto& w : waits) ++begin[w.first + 1];
+  for (size_t i = 0; i < pairs.size(); ++i) begin[i + 1] += begin[i];
+  std::vector<uint32_t> waiting(waits.size());
+  {
+    std::vector<uint32_t> cursor(begin.begin(), begin.end() - 1);
+    for (const auto& w : waits) waiting[cursor[w.first]++] = w.second;
+  }
+  while (!ready.empty()) {
+    uint32_t c = ready.back();
+    ready.pop_back();
+    for (uint32_t w = begin[c]; w < begin[c + 1]; ++w) {
+      uint32_t product = waiting[w];
+      if (--pending[product] == 0 && !accepted[owner[product]]) {
+        accepted[owner[product]] = 1;
+        ready.push_back(owner[product]);
+      }
+    }
+  }
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    verdict_.emplace(pairs[i], accepted[i] != 0);
+  }
+}
+
 }  // namespace uocqa

@@ -212,6 +212,37 @@ class CompiledNfta {
       group_index_;
 };
 
+/// Which pairs of states accept a common tree (of any size). The relation
+/// is the least fixpoint of: (p, q) co-accept if transitions
+/// (p, a, p1..pr) and (q, a, q1..qr) with the same symbol and rank have
+/// every (pi, qi) co-accepting — the productive states of the product
+/// automaton, so it is sound and complete. A diagonal pair (p, p) is just
+/// "p is productive" and only needs equal transitions, which keeps its
+/// exploration on the diagonal.
+///
+/// Decided lazily: a query explores only the undecided pairs reachable from
+/// it (decided pairs are leaves), runs the fixpoint over them and memoizes
+/// every explored verdict. Not thread-safe; the FPRAS asks from its serial
+/// cell-build path only.
+class CoAcceptance {
+ public:
+  /// `c` must outlive this object.
+  explicit CoAcceptance(const CompiledNfta& c) : c_(c) {}
+
+  /// Do p and q accept some common tree?
+  bool CoAccepting(NftaState p, NftaState q);
+
+ private:
+  static uint64_t Key(NftaState p, NftaState q) {
+    if (p > q) std::swap(p, q);
+    return (uint64_t{p} << 32) | q;
+  }
+  void Decide(uint64_t key);
+
+  const CompiledNfta& c_;
+  std::unordered_map<uint64_t, bool> verdict_;
+};
+
 }  // namespace uocqa
 
 #endif  // UOCQA_AUTOMATA_COMPILED_NFTA_H_

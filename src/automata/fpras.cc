@@ -30,7 +30,8 @@ NftaFpras::NftaFpras(const Nfta& nfta, FprasConfig config, ThreadPool* pool)
       c_(*compiled_keep_),
       config_(config),
       rng_(config.seed),
-      external_pool_(pool) {}
+      external_pool_(pool),
+      co_accept_(c_) {}
 
 ThreadPool* NftaFpras::pool() {
   if (config_.threads == 1) return nullptr;
@@ -75,36 +76,39 @@ NftaFpras::Cell& NftaFpras::GetCell(NftaState q, size_t size) {
     }
     if (size < rank + 1) continue;
     const NftaState* kids = c_.children(tid);
-    // Enumerate compositions of size-1 into `rank` positive parts.
-    std::vector<size_t> sizes(rank, 1);
-    std::function<void(size_t, size_t)> rec = [&](size_t pos,
-                                                  size_t remaining) {
-      if (pos == rank) {
-        if (remaining != 0) return;
-        double prod = 1.0;
-        for (size_t i = 0; i < rank && prod > 0; ++i) {
-          prod *= GetCell(kids[i], sizes[i]).estimate;
+    // Walk the compositions of size-1 into `rank` positive parts in
+    // lexicographic order, multiplying the child estimates position by
+    // position: a prefix whose product is <= 0 is abandoned, and the last
+    // part is whatever remains. This builds child cells (and so draws
+    // rng_) in exactly the order of multiplying each full composition left
+    // to right until the product stops being positive. A NaN product
+    // (inf * 0) stops multiplying but still yields its components.
+    std::vector<size_t> sizes(rank);
+    auto walk = [&](auto& self, size_t pos, size_t remaining,
+                    double prod) -> void {
+      bool last = pos + 1 == rank;
+      size_t max_here = remaining - (rank - pos - 1);
+      for (size_t si = last ? remaining : 1; si <= max_here; ++si) {
+        sizes[pos] = si;
+        double p = prod > 0 ? prod * GetCell(kids[pos], si).estimate : prod;
+        if (p <= 0) continue;
+        if (!last) {
+          self(self, pos + 1, remaining - si, p);
+          continue;
         }
-        if (prod <= 0) return;
         Component comp;
         comp.transition = tid;
         comp.child_sizes = sizes;
-        comp.size = prod;
+        comp.size = p;
         auto key = config_.group_disjoint_components
                        ? std::make_pair(c_.symbol(tid), sizes)
                        : std::make_pair(NftaSymbol{0}, std::vector<size_t>{});
         auto [git, fresh] = group_index.try_emplace(key, cell.groups.size());
         if (fresh) cell.groups.emplace_back();
         cell.groups[git->second].components.push_back(std::move(comp));
-        return;
-      }
-      size_t max_here = remaining - (rank - pos - 1);
-      for (size_t si = 1; si <= max_here; ++si) {
-        sizes[pos] = si;
-        rec(pos + 1, remaining - si);
       }
     };
-    rec(0, size - 1);
+    walk(walk, 0, size - 1, 1.0);
   }
 
   double total = 0;
@@ -295,6 +299,16 @@ double NftaFpras::EstimateGroup(Group* group) {
   // trial samples from was computed while this group's components were
   // built, so the parallel section only reads `cells_`.
   uint64_t union_seed = rng_.NextU64();
+
+  // Pairwise-disjoint components: every trial would be performed (with a
+  // finite sum every component's child cells are finite and positive, so
+  // sampling never comes back empty) and would hit (the sampled tree lies
+  // in its own component only), so the trial path's result is exactly
+  // sum * samples / samples — not `sum`, which can differ in the last bit.
+  if (std::isfinite(sum) && ComponentsDisjoint(*group)) {
+    return sum * static_cast<double>(samples) / static_cast<double>(samples);
+  }
+  klm_samples_ += samples;
   size_t chunks = (samples + kTrialChunk - 1) / kTrialChunk;
   std::vector<std::pair<size_t, size_t>> counts(chunks);  // hits, performed
   if (config_.seed_schema == 1) {
@@ -311,6 +325,28 @@ double NftaFpras::EstimateGroup(Group* group) {
   }
   if (performed == 0) return 0;
   return sum * static_cast<double>(hits) / static_cast<double>(performed);
+}
+
+bool NftaFpras::ComponentsDisjoint(const Group& group) {
+  const std::vector<Component>& comps = group.components;
+  for (size_t a = 0; a < comps.size(); ++a) {
+    CompiledNfta::TransitionId ta = comps[a].transition;
+    const NftaState* ka = c_.children(ta);
+    for (size_t b = a + 1; b < comps.size(); ++b) {
+      CompiledNfta::TransitionId tb = comps[b].transition;
+      if (c_.symbol(ta) != c_.symbol(tb) || c_.rank(ta) != c_.rank(tb) ||
+          comps[a].child_sizes != comps[b].child_sizes) {
+        continue;
+      }
+      const NftaState* kb = c_.children(tb);
+      bool disjoint = false;
+      for (uint32_t k = 0; k < c_.rank(ta) && !disjoint; ++k) {
+        disjoint = !co_accept_.CoAccepting(ka[k], kb[k]);
+      }
+      if (!disjoint) return false;
+    }
+  }
+  return true;
 }
 
 void NftaFpras::RunTrialsLegacy(

@@ -11,11 +11,15 @@
 // exact polynomial membership oracle (run the automaton on the tree).
 // Approximately-uniform samples come from minimal-index rejection.
 //
-// Engineering notes versus [6] (documented in DESIGN.md): [6] track
-// per-level sketches with certified polynomial constants; we use the same
-// decomposition but direct recursive estimation with per-union sample
-// budgets chosen empirically, validated against the exact behaviour-set
-// counter in tests (E5). Estimates are doubles (counts up to ~1e308).
+// Engineering notes versus [6] (docs/ARCHITECTURE.md, "Deviations and
+// engineering notes"): [6] track per-level sketches with certified
+// polynomial constants; we use the same decomposition but direct recursive
+// estimation with per-union sample budgets chosen empirically, validated
+// against the exact behaviour-set counter in tests (E5). Estimates are
+// doubles (counts up to ~1e308). A union whose components are pairwise
+// disjoint (decided exactly by the co-acceptance relation, CoAcceptance)
+// needs no sampling: every KLM trial would hit, so its estimate is computed
+// as the trial path's expression with hits == performed == samples.
 //
 // Hot-path layout (see docs/ARCHITECTURE.md): the estimator runs over the
 // automaton's CompiledNfta view. Proportional selection uses per-group /
@@ -106,8 +110,14 @@ class NftaFpras {
   /// empty. Serial (unlike the estimation paths, which may use the pool).
   std::optional<LabeledTree> Sample(Rng& rng, NftaState q, size_t size);
 
-  /// Total number of union estimations performed (diagnostics).
+  /// Total number of union estimations performed (diagnostics), including
+  /// the disjoint unions decided without sampling.
   size_t union_estimations() const { return union_estimations_; }
+
+  /// Total number of Karp–Luby–Madras trials drawn (diagnostics): 0 unless
+  /// some union has overlapping components. A function of (automaton,
+  /// config) only, like the estimates.
+  size_t klm_samples() const { return klm_samples_; }
 
  private:
   /// Pool-backed flat trees for rejection trials: one contiguous node
@@ -196,8 +206,16 @@ class NftaFpras {
   /// Trials are chunked (kTrialChunk) and may run on the pool; every cell
   /// the trials sample from is already computed, so the parallel section
   /// only ever reads `cells_`. Dispatches on config_.seed_schema to the
-  /// legacy sequential path (1) or the lockstep batched path (2).
+  /// legacy sequential path (1) or the lockstep batched path (2). A group
+  /// of pairwise-disjoint components with a finite sum draws its union
+  /// seed but runs no trial (see the definition).
   double EstimateGroup(Group* group);
+
+  /// Are the group's components pairwise disjoint? Two components are
+  /// disjoint when their root symbols, ranks or child sizes differ, or when
+  /// the states at some child position accept no common tree. Serial build
+  /// path only (mutates co_accept_).
+  bool ComponentsDisjoint(const Group& group);
 
   /// Schema-1 trials: chunk c runs its trials sequentially on
   /// Rng::Stream(union_seed, c). Kept verbatim from the pre-batching
@@ -276,6 +294,8 @@ class NftaFpras {
                      PairHash<NftaState, size_t>>
       cells_;
   size_t union_estimations_ = 0;
+  size_t klm_samples_ = 0;
+  CoAcceptance co_accept_;  // over c_, decided lazily by ComponentsDisjoint
   SampleCtx sample_ctx_;  // for the serial public Sample()
 
   // Per-symbol rank-0 behaviour rows (words_per_set() words each), built

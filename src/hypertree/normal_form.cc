@@ -135,13 +135,13 @@ Result<NormalFormInstance> ToNormalForm(const Database& db,
   for (size_t i = 0; i < missing_atoms.size(); ++i) {
     RelationId pp = q.atoms()[missing_atoms[i].pprime_atom].relation;
     out.db.AddFact(Fact(pp, {ValuePool::Intern(kPadConstant)}));
-    // Deviation from the paper's text (documented in DESIGN.md): we also add
-    // a pad fact P_i(c,...,c) over the fresh constant. Without it, a repair
-    // that empties every block of P_i would fail the fresh atom P_i(z̄_i)
-    // even though it entails Q, breaking the count preservation claimed by
-    // Proposition E.1. The pad fact forms a fresh singleton block (the
-    // constant occurs nowhere else), so it is kept by every repair and adds
-    // no repair choices.
+    // Deviation from the paper's text (docs/ARCHITECTURE.md, "Deviations
+    // and engineering notes"): we also add a pad fact P_i(c,...,c) over
+    // the fresh constant. Without it, a repair that empties every block of
+    // P_i would fail the fresh atom P_i(z̄_i) even though it entails Q,
+    // breaking the count preservation claimed by Proposition E.1. The pad
+    // fact forms a fresh singleton block (the constant occurs nowhere
+    // else), so it is kept by every repair and adds no repair choices.
     RelationId pr = q.atoms()[missing_atoms[i].p_atom].relation;
     std::vector<Value> pad_args(q.schema().arity(pr),
                                 ValuePool::Intern(kPadConstant));

@@ -213,6 +213,7 @@ Result<ApproxRF> OcqaEngine::ApproxUr(const CompiledQuery& compiled,
   out.automaton_states = rep->nfta.state_count();
   out.automaton_transitions = rep->nfta.transition_count();
   out.union_trials = fpras.union_estimations();
+  out.fpras_samples = fpras.klm_samples();
   return out;
 }
 
@@ -231,6 +232,7 @@ Result<ApproxRF> OcqaEngine::ApproxUs(const CompiledQuery& compiled,
   out.automaton_states = seq->nfta.state_count();
   out.automaton_transitions = seq->nfta.transition_count();
   out.union_trials = fpras.union_estimations();
+  out.fpras_samples = fpras.klm_samples();
   return out;
 }
 

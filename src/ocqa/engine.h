@@ -72,6 +72,10 @@ struct ApproxRF {
   /// determined by the config and automaton, so reporting it cannot perturb
   /// the estimate).
   size_t union_trials = 0;
+  /// Karp–Luby–Madras trials the FPRAS drew for this call: 0 when every
+  /// union it estimated had pairwise-disjoint components (same determinism
+  /// as `union_trials`).
+  size_t fpras_samples = 0;
 };
 
 /// Both exact relative frequencies of one (query, answer), from one pass

@@ -697,6 +697,9 @@ ServiceResponse QueryService::RunQueryCore(const Request& request,
       trace->AddCount("fpras_trials",
                       (ur.ok() ? ur->union_trials : 0) +
                           (us.ok() ? us->union_trials : 0));
+      trace->AddCount("fpras_samples",
+                      (ur.ok() ? ur->fpras_samples : 0) +
+                          (us.ok() ? us->fpras_samples : 0));
       trace->AddCount("nfta_states",
                       (ur.ok() ? ur->automaton_states : 0) +
                           (us.ok() ? us->automaton_states : 0));

@@ -1,13 +1,16 @@
 // CompiledNfta: structural equivalence with the mutable Nfta it flattens,
 // bitset-run equivalence with the legacy sorted-vector membership oracle,
-// and bit-identity pins for the FPRAS selection/sampling rewrite.
+// bit-identity pins for the FPRAS selection/sampling rewrite, and the
+// co-acceptance relation behind the FPRAS's disjoint-union shortcut.
 
 #include "automata/compiled_nfta.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "automata/exact_count.h"
@@ -817,6 +820,154 @@ TEST(FprasBitIdentityTest, ExactCountsPinned) {
     ExactTreeCounter c(a);
     EXPECT_EQ(c.CountUpTo(9).ToString(), pin.upto9) << "seed " << pin.seed;
     EXPECT_EQ(c.BehaviorCount(), pin.behaviors) << "seed " << pin.seed;
+  }
+}
+
+// --- co-acceptance -----------------------------------------------------------
+
+using StatePair = std::pair<NftaState, NftaState>;
+
+StatePair Ordered(NftaState p, NftaState q) {
+  return p < q ? StatePair{p, q} : StatePair{q, p};
+}
+
+// The reference relation: the naive fixpoint over ordered state pairs, each
+// co-accepting pair with a witness tree built from the first transition
+// pair (same symbol and rank) whose child pairs all have witnesses.
+std::map<StatePair, LabeledTree> ReferenceCoAcceptance(const Nfta& a) {
+  std::map<StatePair, LabeledTree> witness;
+  auto try_pair = [&](NftaState p, NftaState q) {
+    for (const NftaTransition& tp : a.TransitionsFrom(p)) {
+      for (const NftaTransition& tq : a.TransitionsFrom(q)) {
+        if (tp.symbol != tq.symbol ||
+            tp.children.size() != tq.children.size()) {
+          continue;
+        }
+        std::vector<LabeledTree> kids;
+        for (size_t k = 0; k < tp.children.size(); ++k) {
+          auto it = witness.find(Ordered(tp.children[k], tq.children[k]));
+          if (it == witness.end()) break;
+          kids.push_back(it->second);
+        }
+        if (kids.size() < tp.children.size()) continue;
+        witness.emplace(StatePair{p, q},
+                        LabeledTree(tp.symbol, std::move(kids)));
+        return true;
+      }
+    }
+    return false;
+  };
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (NftaState p = 0; p < a.state_count(); ++p) {
+      for (NftaState q = p; q < a.state_count(); ++q) {
+        if (witness.count({p, q}) == 0 && try_pair(p, q)) changed = true;
+      }
+    }
+  }
+  return witness;
+}
+
+class CoAcceptanceTest : public ::testing::TestWithParam<uint64_t> {};
+
+// Over the TrimTest automata (planted dead and unreachable states): every
+// verdict matches the reference fixpoint, a co-accepting verdict has a
+// witness tree both states accept, and a disjoint verdict has no common
+// tree of size <= 6. Pairs are asked in two orders, so verdicts are
+// decided both from scratch and on top of memoized neighbours.
+TEST_P(CoAcceptanceTest, MatchesTheReferenceFixpoint) {
+  Nfta a = RandomAutomatonWithDeadStates(GetParam() * 7919 + 3);
+  size_t n = a.state_count();
+  std::map<StatePair, LabeledTree> witness = ReferenceCoAcceptance(a);
+  std::vector<char> common(n * n, 0);
+  for (size_t size = 1; size <= 6; ++size) {
+    std::vector<LabeledTree> trees;
+    EnumerateTrees(a.symbol_count(), size, 2, &trees);
+    for (const LabeledTree& tree : trees) {
+      std::vector<NftaState> acc = a.AcceptingStates(tree);
+      for (NftaState p : acc) {
+        for (NftaState q : acc) common[p * n + q] = 1;
+      }
+    }
+  }
+  std::vector<StatePair> pairs;
+  for (NftaState p = 0; p < n; ++p) {
+    for (NftaState q = 0; q < n; ++q) pairs.push_back({p, q});
+  }
+  std::shared_ptr<const CompiledNfta> compiled = a.CompiledShared();
+  size_t verdicts[2] = {0, 0};  // disjoint, co-accepting
+  for (bool reverse : {false, true}) {
+    if (reverse) std::reverse(pairs.begin(), pairs.end());
+    CoAcceptance co(*compiled);
+    for (const auto& [p, q] : pairs) {
+      bool verdict = co.CoAccepting(p, q);
+      ++verdicts[verdict];
+      auto it = witness.find(Ordered(p, q));
+      ASSERT_EQ(verdict, it != witness.end()) << "pair " << p << "," << q;
+      if (verdict) {
+        std::vector<NftaState> acc = a.AcceptingStates(it->second);
+        EXPECT_TRUE(std::binary_search(acc.begin(), acc.end(), p) &&
+                    std::binary_search(acc.begin(), acc.end(), q))
+            << "pair " << p << "," << q << " witness "
+            << a.TreeToString(it->second);
+      } else {
+        EXPECT_FALSE(common[p * n + q]) << "pair " << p << "," << q;
+      }
+    }
+  }
+  // The planted dead state 1 co-accepts nothing; the planted unreachable
+  // state 2 has a leaf transition, so it co-accepts with itself.
+  EXPECT_GT(verdicts[0], 0u);
+  EXPECT_GT(verdicts[1], 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CoAcceptanceTest,
+                         ::testing::Range(uint64_t{1}, uint64_t{41}));
+
+// A union whose components are disjoint (b-chains under q1, c-chains under
+// q2) is decided without sampling, and exactly.
+TEST(FprasDisjointUnionTest, DisjointUnionsDrawNoSamples) {
+  Nfta a;
+  NftaState q0 = a.AddState();
+  NftaState q1 = a.AddState();
+  NftaState q2 = a.AddState();
+  NftaSymbol sa = a.InternSymbol("a");
+  NftaSymbol sb = a.InternSymbol("b");
+  NftaSymbol sc = a.InternSymbol("c");
+  a.AddTransition(q0, sa, {q1});
+  a.AddTransition(q0, sa, {q2});
+  a.AddTransition(q1, sb, {q1});
+  a.AddTransition(q1, sb, {});
+  a.AddTransition(q2, sc, {q2});
+  a.AddTransition(q2, sc, {});
+  a.SetInitial(q0);
+  ExactTreeCounter exact(a);
+  for (int schema : {1, 2}) {
+    FprasConfig cfg;
+    cfg.seed = 7;
+    cfg.seed_schema = schema;
+    NftaFpras f(a, cfg);
+    EXPECT_EQ(f.EstimateUpTo(7), std::stod(exact.CountUpTo(7).ToString()));
+    EXPECT_GT(f.union_estimations(), 0u);
+    EXPECT_EQ(f.klm_samples(), 0u);
+  }
+}
+
+// OverlapAutomaton's unions overlap (q1 and q2 both accept b-chains), so
+// they still run Karp–Luby–Madras trials, and stay within epsilon.
+TEST(FprasDisjointUnionTest, OverlappingUnionsStillSampleWithinEpsilon) {
+  Nfta a = OverlapAutomaton();
+  ExactTreeCounter exact(a);
+  double want = std::stod(exact.CountUpTo(7).ToString());
+  for (int schema : {1, 2}) {
+    FprasConfig cfg;
+    cfg.epsilon = 0.15;
+    cfg.seed = 7;
+    cfg.seed_schema = schema;
+    NftaFpras f(a, cfg);
+    double got = f.EstimateUpTo(7);
+    EXPECT_GT(f.klm_samples(), 0u) << "schema " << schema;
+    EXPECT_NEAR(got / want, 1.0, cfg.epsilon) << "schema " << schema;
   }
 }
 

@@ -57,7 +57,8 @@ TEST_P(NormalFormPreservationTest, BothNumeratorsPreserved) {
   ASSERT_TRUE(nf.ok()) << nf.status().ToString();
   KeySet nf_keys = RemapKeys(keys, db.schema(), nf->db.schema());
 
-  // Proposition E.1 (with the pad-fact fix documented in DESIGN.md).
+  // Proposition E.1 (with the pad-fact fix documented in
+  // docs/ARCHITECTURE.md, "Deviations and engineering notes").
   EXPECT_EQ(CountRepairsEntailing(db, keys, q, {}),
             CountRepairsEntailing(nf->db, nf_keys, nf->query, {}))
       << "seed " << GetParam();

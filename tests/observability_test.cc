@@ -213,11 +213,15 @@ TEST(ObservabilityTest, TraceGrammarNamesStagesAndCounts) {
   for (const char* key :
        {"parse_us=", "result_cache_us=", "plan_us=", "compile_us=",
         "planner_us=", "fpras_trials_us=", "total_us=", "cache_hit=0",
-        "planner_nodes=", "fpras_trials=", "nfta_states=",
+        "planner_nodes=", "fpras_trials=", "fpras_samples=", "nfta_states=",
         "nfta_transitions="}) {
     EXPECT_NE(miss.trace.find(key), std::string::npos)
         << key << " missing from: " << miss.trace;
   }
+  // The smoke instance's unions all have pairwise-disjoint components, so
+  // the FPRAS estimates them without drawing a single KLM sample.
+  EXPECT_NE(miss.trace.find(" fpras_samples=0 "), std::string::npos)
+      << miss.trace;
   EXPECT_GT(miss.trace.find("total_us="), miss.trace.find("parse_us="));
 
   ServiceResponse hit = service.Execute(request);

@@ -286,6 +286,8 @@ int main(int argc, char** argv) {
       }
       trace.AddCount("fpras_trials", (ur.ok() ? ur->union_trials : 0) +
                                          (us.ok() ? us->union_trials : 0));
+      trace.AddCount("fpras_samples", (ur.ok() ? ur->fpras_samples : 0) +
+                                          (us.ok() ? us->fpras_samples : 0));
       trace.AddCount("nfta_states", (ur.ok() ? ur->automaton_states : 0) +
                                         (us.ok() ? us->automaton_states : 0));
       trace.AddCount("nfta_transitions",

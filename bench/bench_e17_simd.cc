@@ -1,25 +1,21 @@
 // E17 — the runtime-dispatched SIMD kernel layer (base/simd_kernels.h)
-// versus the always-compiled scalar reference backend, and the batched
-// FPRAS trial loop (seed schema 2) versus the legacy sequential loop
-// (schema 1):
+// versus the always-compiled scalar reference backend:
 //
 //  * membership-oracle throughput on wide automata (512 / 1280 states, so
 //    behaviour sets span 8 / 20 words): compiled bitset run with the
 //    scalar kernels vs the widest backend this CPU supports;
 //  * exact-count DP throughput (interning hashes, memo equality, batched
 //    group combines) under the same scalar/SIMD split;
-//  * FPRAS estimation with schema 1 (sequential trials) vs schema 2
-//    (lockstep batches), both on the SIMD backend.
+//  * FPRAS estimation (lockstep trial batches) on the SIMD backend.
 //
 // Every SIMD benchmark cross-checks its results against the scalar
 // backend in-run (equal behaviour sets, equal exact counts, bit-identical
 // estimates — the backends are bit-identical by contract), so a kernel
 // divergence fails the benchmark rather than skewing it.
 //
-// Pair names as BM_ScalarX / BM_SimdX and BM_V1X / BM_V2X so
-// tools/bench_report prints the ratios; `tools/bench_report --gate R ...`
-// turns them into a regression gate. Acceptance (ISSUE 7): >= 1.5x on the
-// membership/bitset pairs, >= 1.3x on the batched FPRAS pair.
+// Pair names as BM_ScalarX / BM_SimdX so tools/bench_report prints the
+// ratios; `tools/bench_report --gate R ...` turns them into a regression
+// gate. The target is >= 1.5x on the membership/bitset pairs.
 
 #include <benchmark/benchmark.h>
 
@@ -253,14 +249,12 @@ BENCHMARK(BM_SimdExactDp)->Arg(128)->Arg(512)
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// FPRAS: legacy sequential trials (seed schema 1) vs lockstep batches
-// (schema 2), both on the active SIMD backend. Equal accuracy, different
-// RNG-consumption order — the pair measures the batching restructure.
+// FPRAS: lockstep trial batches on the active SIMD backend.
 // ---------------------------------------------------------------------------
 
 constexpr size_t kFprasDepth = 14;
 
-void FprasBench(benchmark::State& state, int seed_schema) {
+void BM_V2Fpras(benchmark::State& state) {
   Nfta a = OverlapChains(static_cast<size_t>(state.range(0)));
   if (!CompileWith(a, WidestBackend())) {
     state.SkipWithError("backend not available on this host");
@@ -269,7 +263,6 @@ void FprasBench(benchmark::State& state, int seed_schema) {
   FprasConfig cfg;
   cfg.epsilon = 0.2;
   cfg.seed = 17;
-  cfg.seed_schema = seed_schema;
   double est = 0;
   size_t unions = 0;
   for (auto _ : state) {
@@ -281,9 +274,8 @@ void FprasBench(benchmark::State& state, int seed_schema) {
   state.counters["unions"] = static_cast<double>(unions);
   state.counters["estimate"] = est;
 
-  // Cross-check: the same schema on the scalar backend must produce the
-  // bit-identical estimate (the schema fixes the RNG consumption, the
-  // kernels are bit-identical by contract).
+  // Cross-check: the scalar backend must produce the bit-identical
+  // estimate (the kernels are bit-identical by contract).
   Nfta ref = OverlapChains(static_cast<size_t>(state.range(0)));
   CompileWith(ref, simd::Backend::kScalar);
   NftaFpras check(ref, cfg);
@@ -292,11 +284,6 @@ void FprasBench(benchmark::State& state, int seed_schema) {
   }
 }
 
-void BM_V1Fpras(benchmark::State& state) { FprasBench(state, 1); }
-BENCHMARK(BM_V1Fpras)->Arg(6)->Arg(10)
-    ->Unit(benchmark::kMillisecond)->Iterations(1);
-
-void BM_V2Fpras(benchmark::State& state) { FprasBench(state, 2); }
 BENCHMARK(BM_V2Fpras)->Arg(6)->Arg(10)
     ->Unit(benchmark::kMillisecond)->Iterations(1);
 

@@ -23,13 +23,10 @@
 //
 // Hot-path layout (see docs/ARCHITECTURE.md): the estimator runs over the
 // automaton's CompiledNfta view. Proportional selection uses per-group /
-// per-cell prefix-sum arrays probed by binary search — consuming exactly
-// one uniform per pick, with the partial sums accumulated in the same
-// left-to-right order as the old linear scan, so estimates and samples are
-// bit-identical to the pre-flattening implementation at the same seed.
-// Trial trees are built in a per-chunk node pool (no per-node heap
-// LabeledTree), each node caching its subtree size; the membership oracle
-// is the compiled bitset run.
+// per-cell prefix-sum arrays probed by binary search, consuming exactly
+// one uniform per pick. Trial trees are built in a per-chunk node pool (no
+// per-node heap LabeledTree), each node caching its subtree size and its
+// behaviour row, so the membership oracle reads cached rows.
 
 #ifndef UOCQA_AUTOMATA_FPRAS_H_
 #define UOCQA_AUTOMATA_FPRAS_H_
@@ -68,14 +65,11 @@ struct FprasConfig {
   size_t max_rejection_attempts = 64;
   /// RNG seed (estimates are deterministic given the seed).
   uint64_t seed = 1;
-  /// Versioned RNG-consumption schema (see docs/ARCHITECTURE.md):
-  ///  * 1 — legacy: trials run sequentially per chunk, one Rng::Stream per
-  ///    chunk. Byte-identical to the pre-batching implementation at the
-  ///    same seed (the historical pinned estimates).
-  ///  * 2 — batched (default): one Rng::Stream per *trial* (keyed by the
-  ///    global trial index), enabling the lockstep batch evaluation of
-  ///    trial chunks. Estimates differ from schema 1 at the same seed but
-  ///    are equally accurate and equally deterministic.
+  /// Version tag of the RNG-consumption layout (docs/ARCHITECTURE.md,
+  /// "Seed schema"): one Rng::Stream per trial, keyed by the global trial
+  /// index. There is one layout, so this must equal kDefaultSeedSchema
+  /// (asserted in debug builds); the field only records which layout
+  /// produced an estimate.
   int seed_schema = kDefaultSeedSchema;
   /// Split each union into provably-disjoint groups keyed by
   /// (symbol, child sizes) and only sample within groups (on by default;
@@ -153,19 +147,12 @@ class NftaFpras {
     void Truncate(size_t n) { nodes.resize(n); }
   };
 
-  /// Per-thread sampling context (pool + bitset scratch), owned by each
-  /// trial chunk / by the serial public Sample.
-  struct SampleCtx {
-    TreePool pool;
-    CompiledNfta::Workspace ws;
-  };
-
-  /// Per-chunk context for the schema-2 lockstep trial batches: one shared
-  /// pool holds every trial's winning tree (rejected attempts are reclaimed
-  /// by truncation), with a behaviour row maintained per pooled node —
-  /// computed once in post-order as each subtree completes, so min-index
-  /// checks at every nesting level read cached rows instead of
-  /// re-evaluating subtrees.
+  /// Sampling context for one lockstep trial chunk or for the serial
+  /// public Sample: one shared pool holds every trial's winning tree
+  /// (rejected attempts are reclaimed by truncation), with a behaviour row
+  /// maintained per pooled node — computed once in post-order as each
+  /// subtree completes, so min-index checks at every nesting level read
+  /// cached rows instead of re-evaluating subtrees.
   struct BatchCtx {
     TreePool pool;                // shared across the chunk's trials
     std::vector<Rng> rngs;        // per-trial streams (phase-resumable)
@@ -184,8 +171,7 @@ class NftaFpras {
   struct Group {
     std::vector<Component> components;
     /// prefix[i] = components[0].size + ... + components[i-1].size,
-    /// accumulated left to right (same fp order as the legacy linear scan,
-    /// so prefix.back() is bit-identical to its `sum`).
+    /// accumulated left to right.
     std::vector<double> prefix;
     double estimate = 0;
   };
@@ -205,10 +191,9 @@ class NftaFpras {
   /// KLM union estimate within one group (components share symbol+sizes).
   /// Trials are chunked (kTrialChunk) and may run on the pool; every cell
   /// the trials sample from is already computed, so the parallel section
-  /// only ever reads `cells_`. Dispatches on config_.seed_schema to the
-  /// legacy sequential path (1) or the lockstep batched path (2). A group
-  /// of pairwise-disjoint components with a finite sum draws its union
-  /// seed but runs no trial (see the definition).
+  /// only ever reads `cells_`. A group of pairwise-disjoint components
+  /// with a finite sum draws its union seed but runs no trial (see the
+  /// definition).
   double EstimateGroup(Group* group);
 
   /// Are the group's components pairwise disjoint? Two components are
@@ -217,14 +202,7 @@ class NftaFpras {
   /// path only (mutates co_accept_).
   bool ComponentsDisjoint(const Group& group);
 
-  /// Schema-1 trials: chunk c runs its trials sequentially on
-  /// Rng::Stream(union_seed, c). Kept verbatim from the pre-batching
-  /// implementation — byte-identical estimates at the same seed.
-  void RunTrialsLegacy(Group* group, double sum, size_t samples,
-                       uint64_t union_seed,
-                       std::vector<std::pair<size_t, size_t>>* counts);
-
-  /// Schema-2 trials: each chunk runs its kTrialChunk trials in lockstep
+  /// KLM trials: each chunk runs its kTrialChunk trials in lockstep
   /// phases (batched picks -> batched row-caching tree builds -> batched
   /// min-index checks over the cached rows), with one Rng::Stream per
   /// trial keyed by the global trial index.
@@ -232,18 +210,18 @@ class NftaFpras {
                         uint64_t union_seed,
                         std::vector<std::pair<size_t, size_t>>* counts);
 
-  /// Min-index of a batch trial: like MinIndexFlat, but child behaviours
-  /// are read from the batch's cached rows instead of re-evaluated.
+  /// Index of the first component of `group` containing the pooled tree
+  /// `root`; -1 if none. Child behaviours are read from the cached rows,
+  /// child sizes from the cached per-node sizes.
   int MinIndexBatched(const Group& group, uint32_t root,
                       const BatchCtx& ctx) const;
 
-  /// Row-caching mirrors of SampleFlat / SampleComponentFlat for the
-  /// batched path: identical RNG consumption and identical accept/reject
-  /// decisions (rows are bit-identical to the recursive evaluation), but
-  /// every pooled node's behaviour row is computed exactly once — in
-  /// post-order, as its subtree completes — so the nested min-index
-  /// rejection reads cached rows instead of re-running the bitset
-  /// evaluation at every nesting level.
+  /// Uniform-ish flat sample from L(q, size) into ctx->pool, and from one
+  /// component (a tuple of child samples); TreePool::kNil if empty or
+  /// rejected to exhaustion. Every pooled node's behaviour row is computed
+  /// exactly once — in post-order, as its subtree completes — so the
+  /// nested min-index rejection reads cached rows instead of re-running
+  /// the bitset evaluation at every nesting level.
   uint32_t SampleFlatBatched(Rng& rng, NftaState q, size_t size,
                              BatchCtx* ctx);
   uint32_t SampleComponentFlatBatched(Rng& rng, const Component& c,
@@ -253,27 +231,9 @@ class NftaFpras {
   /// already be cached; leaves copy the per-symbol leaf row).
   void ComputeRow(BatchCtx* ctx, uint32_t node) const;
 
-  /// Lazily builds the per-symbol rank-0 behaviour rows the batched build
+  /// Lazily builds the per-symbol rank-0 behaviour rows the sampler
   /// copies for leaf nodes. Must be called before the parallel section.
   void EnsureLeafRows();
-
-  /// Uniform-ish flat sample from L(q, size) into ctx->pool; TreePool::kNil
-  /// if empty / rejected to exhaustion. Mirrors the legacy recursive
-  /// Sample() uniform-for-uniform.
-  uint32_t SampleFlat(Rng& rng, NftaState q, size_t size, SampleCtx* ctx);
-
-  /// Uniform-ish flat sample from one component (tuple of child samples).
-  uint32_t SampleComponentFlat(Rng& rng, const Component& c, SampleCtx* ctx);
-
-  /// Index of the first component of `group` containing the pooled tree
-  /// `root`; -1 if none. Child behaviours via the compiled bitset run,
-  /// child sizes from the cached per-node sizes.
-  int MinIndexFlat(const Group& group, uint32_t root, SampleCtx* ctx) const;
-
-  /// Bitset run over a pooled subtree: behaviour of `node` into slot
-  /// `base` of `ws` (scratch above, CompiledNfta::EvalInto discipline).
-  void EvalNodeBehavior(const TreePool& pool, uint32_t node,
-                        CompiledNfta::Workspace* ws, size_t base) const;
 
   /// The pool trials run on (lazily created when owned), or nullptr for
   /// serial execution.
@@ -296,11 +256,11 @@ class NftaFpras {
   size_t union_estimations_ = 0;
   size_t klm_samples_ = 0;
   CoAcceptance co_accept_;  // over c_, decided lazily by ComponentsDisjoint
-  SampleCtx sample_ctx_;  // for the serial public Sample()
+  BatchCtx sample_ctx_;  // for the serial public Sample()
 
   // Per-symbol rank-0 behaviour rows (words_per_set() words each), built
-  // once on first batched estimation; leaves are the common case in trial
-  // trees and their combine is a plain row copy.
+  // once on the first KLM estimation or sample; leaves are the common case
+  // in trial trees and their combine is a plain row copy.
   bool leaf_rows_ready_ = false;
   std::vector<uint64_t> leaf_rows_;
 };

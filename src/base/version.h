@@ -1,4 +1,4 @@
-// Build identity: version string, runtime-selected SIMD backend, default
+// Build identity: version string, runtime-selected SIMD backend, FPRAS
 // seed schema. One definition feeds the `version` service verb, the
 // `--version` flag on both front ends, and the serve startup banner, so
 // they can never disagree about what binary is running.
@@ -10,10 +10,10 @@
 
 namespace uocqa {
 
-/// The default FPRAS seed schema. Schema 1 is the legacy per-trial
-/// stream layout; schema 2 (default since the lockstep batch rewrite)
-/// derives one stream per trial batch. FprasConfig, the request parser,
-/// and the CLI all reference this constant so a schema bump is one edit.
+/// The FPRAS seed schema: the version of the one RNG-consumption layout
+/// (one Rng::Stream per KLM trial, keyed by the global trial index).
+/// FprasConfig and the request parser take this as a version tag that must
+/// equal it, and the `version` verb reports it.
 inline constexpr int kDefaultSeedSchema = 2;
 
 /// The bare semantic version, e.g. "0.1.0" (from the CMake project

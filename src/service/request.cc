@@ -246,12 +246,9 @@ Result<Request> ParseRequestLine(std::string_view line) {
       UOCQA_RETURN_IF_ERROR(ParseSizeField(key, value, &seed));
       out.seed = static_cast<uint64_t>(seed);
     } else if (key == "seed_schema") {
-      if (value == "1") {
-        out.seed_schema = 1;
-      } else if (value == "2") {
-        out.seed_schema = 2;
-      } else {
-        return Status::InvalidArgument("seed_schema expects 1 or 2");
+      if (value != std::to_string(kDefaultSeedSchema)) {
+        return Status::InvalidArgument(
+            "seed_schema expects 2 (seed_schema=1 was retired)");
       }
     } else if (key == "explain") {
       if (value == "0") {
@@ -317,9 +314,6 @@ std::string FormatRequestLine(const Request& request) {
   out += buf;
   out += " samples=" + std::to_string(request.samples);
   out += " seed=" + std::to_string(request.seed);
-  if (request.seed_schema != kDefaultSeedSchema) {
-    out += " seed_schema=" + std::to_string(request.seed_schema);
-  }
   if (request.explain) out += " explain=1";
   if (request.trace) out += " trace=1";
   if (request.timeout_ms != 0) {

@@ -82,10 +82,10 @@ struct Request {
   double delta = 0.1;
   size_t samples = 20000;
   uint64_t seed = 1;
-  /// FPRAS RNG-consumption schema (FprasConfig::seed_schema): 1 = legacy
-  /// sequential trials, 2 = batched lockstep trials (the default). Part of
-  /// the result-cache key — the schemas produce different (equally valid)
-  /// estimates at the same seed.
+  /// Version tag of the FPRAS RNG-consumption layout
+  /// (FprasConfig::seed_schema). There is one layout, so the parser accepts
+  /// only `seed_schema=2` and this always equals kDefaultSeedSchema; not
+  /// part of the result-cache key.
   int seed_schema = kDefaultSeedSchema;
   /// `explain=1` extends the payload with the compiled plan's deterministic
   /// `plan_*` fields (join order, cost estimates, decomposition choice).

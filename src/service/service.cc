@@ -96,8 +96,7 @@ bool QueryService::ResultKey::operator==(const ResultKey& o) const {
          canonical_query == o.canonical_query && answer == o.answer &&
          mode == o.mode && epsilon == o.epsilon && delta == o.delta &&
          samples == o.samples && seed == o.seed &&
-         seed_schema == o.seed_schema && max_width == o.max_width &&
-         explain == o.explain;
+         max_width == o.max_width && explain == o.explain;
 }
 
 size_t QueryService::ResultKeyHash::operator()(const ResultKey& k) const {
@@ -109,7 +108,6 @@ size_t QueryService::ResultKeyHash::operator()(const ResultKey& k) const {
   HashCombine(&seed, std::hash<double>{}(k.delta));
   HashCombine(&seed, k.samples);
   HashCombine(&seed, static_cast<size_t>(k.seed));
-  HashCombine(&seed, static_cast<size_t>(k.seed_schema));
   HashCombine(&seed, k.max_width);
   HashCombine(&seed, static_cast<size_t>(k.explain));
   return seed;
@@ -630,7 +628,6 @@ ServiceResponse QueryService::RunQueryCore(const Request& request,
   key.delta = request.delta;
   key.samples = request.samples;
   key.seed = request.seed;
-  key.seed_schema = request.seed_schema;
   key.max_width = options_.max_width;
   key.explain = request.explain;
   {
@@ -685,7 +682,6 @@ ServiceResponse QueryService::RunQueryCore(const Request& request,
       options.fpras.epsilon = request.epsilon;
       options.fpras.delta = request.delta;
       options.fpras.seed = request.seed;
-      options.fpras.seed_schema = request.seed_schema;
       options.max_width = options_.max_width;
       options.threads = 1;  // batch lanes are the parallelism
       metrics::ScopedStage fpras_stage(stages_.fpras_trials, trace,

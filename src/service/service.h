@@ -211,7 +211,6 @@ class QueryService {
     double delta = 0;
     size_t samples = 0;
     uint64_t seed = 0;
-    int seed_schema = kDefaultSeedSchema;
     size_t max_width = 0;
     bool explain = false;
 

@@ -8,6 +8,7 @@
 #include "automata/fpras.h"
 #include "automata/nfta.h"
 #include "base/rng.h"
+#include "test_automata.h"
 
 namespace uocqa {
 namespace {
@@ -23,35 +24,6 @@ Nfta BinaryStringsAutomaton() {
   a.AddTransition(q, one, {q});
   a.AddTransition(q, zero, {});
   a.AddTransition(q, one, {});
-  a.SetInitial(q);
-  return a;
-}
-
-/// Highly ambiguous automaton: k parallel states all accepting the same
-/// unary {b}-trees under an 'a' root. Distinct trees: 1 per size.
-Nfta AmbiguousAutomaton(int k) {
-  Nfta a;
-  NftaState q0 = a.AddState();
-  NftaSymbol sa = a.InternSymbol("a");
-  NftaSymbol sb = a.InternSymbol("b");
-  for (int i = 0; i < k; ++i) {
-    NftaState qi = a.AddState();
-    a.AddTransition(q0, sa, {qi});
-    a.AddTransition(qi, sb, {qi});
-    a.AddTransition(qi, sb, {});
-  }
-  a.SetInitial(q0);
-  return a;
-}
-
-/// Full binary trees over a single symbol: sizes 1,3,5,... counted by
-/// Catalan numbers 1,1,2,5,14,...
-Nfta FullBinaryTreeAutomaton() {
-  Nfta a;
-  NftaState q = a.AddState();
-  NftaSymbol x = a.InternSymbol("x");
-  a.AddTransition(q, x, {q, q});
-  a.AddTransition(q, x, {});
   a.SetInitial(q);
   return a;
 }

@@ -2,7 +2,7 @@
 // the builders' automata after Nfta::Trim; BuildRepAutomaton and
 // BuildSeqAutomaton stay the paper's constructions and serve here as the
 // untrimmed oracle. Exact counts must be equal and FPRAS estimates
-// bit-identical at every seed, seed schema and lane count, over Example 1.1
+// bit-identical at every seed and lane count, over Example 1.1
 // and generated chain, star and triangle instances, for witness and RF = 0
 // answers. An RF = 0 answer's Seq automaton trims to the empty
 // shape, so its FPRAS returns 0 without a single union estimation.
@@ -120,32 +120,26 @@ std::vector<Value> Answer(const std::string& text) {
   return {ValuePool::Intern(text)};
 }
 
-// Estimates and union-estimation counts at seeds 1-5, both seed schemas,
-// 1 and 4 lanes; `estimate` runs one FPRAS call and returns its estimate.
+// Estimates and union-estimation counts at seeds 1-5, 1 and 4 lanes; `estimate` runs one FPRAS call and returns its estimate.
 template <typename Estimate>
 void ExpectBitIdenticalEstimates(const Nfta& raw, const Nfta& trimmed,
                                  Estimate estimate, const std::string& what) {
   ThreadPool pool(4);
   for (uint64_t seed = 1; seed <= 5; ++seed) {
-    for (int schema : {1, 2}) {
-      for (size_t threads : {size_t{1}, size_t{4}}) {
-        FprasConfig config;
-        config.epsilon = 0.5;
-        config.delta = 0.25;
-        config.seed = seed;
-        config.seed_schema = schema;
-        config.threads = threads;
-        ThreadPool* lanes = threads == 1 ? nullptr : &pool;
-        NftaFpras a(raw, config, lanes);
-        NftaFpras b(trimmed, config, lanes);
-        double ea = estimate(&a);
-        double eb = estimate(&b);
-        EXPECT_EQ(ea, eb) << what << " seed " << seed << " schema " << schema
-                          << " threads " << threads;
-        EXPECT_EQ(a.union_estimations(), b.union_estimations())
-            << what << " seed " << seed << " schema " << schema
-            << " threads " << threads;
-      }
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      FprasConfig config;
+      config.epsilon = 0.5;
+      config.delta = 0.25;
+      config.seed = seed;
+      config.threads = threads;
+      ThreadPool* lanes = threads == 1 ? nullptr : &pool;
+      NftaFpras a(raw, config, lanes);
+      NftaFpras b(trimmed, config, lanes);
+      double ea = estimate(&a);
+      double eb = estimate(&b);
+      EXPECT_EQ(ea, eb) << what << " seed " << seed << " threads " << threads;
+      EXPECT_EQ(a.union_estimations(), b.union_estimations())
+          << what << " seed " << seed << " threads " << threads;
     }
   }
 }

@@ -17,6 +17,7 @@
 #include "automata/fpras.h"
 #include "automata/nfta.h"
 #include "base/rng.h"
+#include "test_automata.h"
 
 namespace uocqa {
 namespace {
@@ -446,65 +447,6 @@ TEST(TrimTest, EmptyLanguageLeavesOneBareInitialState) {
   EXPECT_EQ(fpras.union_estimations(), 0u);
 }
 
-// --- FPRAS bit-identity pins -------------------------------------------------
-//
-// The flattening rewrote proportional selection (prefix sums + binary
-// search instead of a linear scan) and tree construction (pooled nodes
-// instead of heap LabeledTrees). Both are contractually RNG-neutral: one
-// uniform per pick, selecting the same index, sampling children in the
-// same order. These constants were recorded from the pre-rewrite
-// implementation at fixed seeds; any drift in estimates or sampled trees
-// is a regression.
-
-Nfta AmbiguousAutomaton(int k) {
-  Nfta a;
-  NftaState q0 = a.AddState();
-  NftaSymbol sa = a.InternSymbol("a");
-  NftaSymbol sb = a.InternSymbol("b");
-  for (int i = 0; i < k; ++i) {
-    NftaState qi = a.AddState();
-    a.AddTransition(q0, sa, {qi});
-    a.AddTransition(qi, sb, {qi});
-    a.AddTransition(qi, sb, {});
-  }
-  a.SetInitial(q0);
-  return a;
-}
-
-Nfta FullBinaryTreeAutomaton() {
-  Nfta a;
-  NftaState q = a.AddState();
-  NftaSymbol x = a.InternSymbol("x");
-  a.AddTransition(q, x, {q, q});
-  a.AddTransition(q, x, {});
-  a.SetInitial(q);
-  return a;
-}
-
-// Overlap-rich: q0 -a-> q1 (b-chains), q0 -a-> q2 (b|c chains), plus both
-// binary branches; unions at every size and rank.
-Nfta OverlapAutomaton() {
-  Nfta a;
-  NftaState q0 = a.AddState();
-  NftaState q1 = a.AddState();
-  NftaState q2 = a.AddState();
-  NftaSymbol sa = a.InternSymbol("a");
-  NftaSymbol sb = a.InternSymbol("b");
-  NftaSymbol sc = a.InternSymbol("c");
-  a.AddTransition(q0, sa, {q1});
-  a.AddTransition(q0, sa, {q2});
-  a.AddTransition(q0, sa, {q1, q2});
-  a.AddTransition(q0, sa, {q2, q1});
-  a.AddTransition(q1, sb, {q1});
-  a.AddTransition(q1, sb, {});
-  a.AddTransition(q2, sb, {q2});
-  a.AddTransition(q2, sc, {q2});
-  a.AddTransition(q2, sb, {});
-  a.AddTransition(q2, sc, {});
-  a.SetInitial(q0);
-  return a;
-}
-
 // --- workspace reuse ---------------------------------------------------------
 
 // One Workspace reused across automata of very different widths: EnsureSlots
@@ -581,73 +523,20 @@ TEST(CompiledWorkspaceTest, AppendSetBitsHighWordOnly) {
   EXPECT_EQ(top_states, std::vector<NftaState>{199});
 }
 
-// The *Pinned tests freeze seed-schema 1: the legacy sequential trial path
-// must keep reproducing the historical estimates byte-for-byte. Schema 2
-// (the default batched path) has its own pins in the *PinnedV2 tests.
-TEST(FprasBitIdentityTest, AmbiguousEstimatesPinned) {
-  Nfta a = AmbiguousAutomaton(4);
-  FprasConfig cfg;
-  cfg.epsilon = 0.1;
-  cfg.seed = 99;
-  cfg.seed_schema = 1;
-  NftaFpras f(a, cfg);
-  const double kPinned[] = {
-      0.98284552501164812, 0.99267228599262991, 0.99775509339658608,
-      1.0036850353678681,  0.98606463636748698, 1.0075818543775679,
-      1.0028379008005421};
-  for (size_t s = 2; s <= 8; ++s) {
-    EXPECT_EQ(f.EstimateExactSize(s), kPinned[s - 2]) << "size " << s;
-  }
-  EXPECT_EQ(f.EstimateUpTo(8), 6.9734423313143292);
-  EXPECT_EQ(f.union_estimations(), 7u);
-}
-
-TEST(FprasBitIdentityTest, OverlapEstimatesPinned) {
-  struct Pin {
-    uint64_t seed;
-    double upto7;
-  };
-  const Pin kPins[] = {{7, 338.93348580141037},
-                       {21, 338.93062702496661},
-                       {1234567, 339.400609872308}};
-  for (const Pin& pin : kPins) {
-    Nfta a = OverlapAutomaton();
-    FprasConfig cfg;
-    cfg.epsilon = 0.15;
-    cfg.seed = pin.seed;
-    cfg.seed_schema = 1;
-    NftaFpras f(a, cfg);
-    EXPECT_EQ(f.EstimateUpTo(7), pin.upto7) << "seed " << pin.seed;
-    EXPECT_EQ(f.union_estimations(), 21u);
-  }
-}
-
-TEST(FprasBitIdentityTest, RandomAutomataEstimatesPinned) {
-  struct Pin {
-    uint64_t seed;
-    double upto7;
-    size_t unions;
-  };
-  const Pin kPins[] = {{1, 36.886105104119203, 11}, {2, 1.0, 0},
-                       {3, 43.034552845528452, 10}, {4, 31.626920840944642, 5},
-                       {5, 0.0, 0},                 {6, 1.0, 0}};
-  for (const Pin& pin : kPins) {
-    Nfta a = RandomAutomaton(pin.seed * 1000 + 17);
-    FprasConfig cfg;
-    cfg.epsilon = 0.2;
-    cfg.seed = pin.seed;
-    cfg.seed_schema = 1;
-    NftaFpras f(a, cfg);
-    EXPECT_EQ(f.EstimateUpTo(7), pin.upto7) << "seed " << pin.seed;
-    EXPECT_EQ(f.union_estimations(), pin.unions) << "seed " << pin.seed;
-  }
-}
+// --- FPRAS bit-identity pins -------------------------------------------------
+//
+// The flattening rewrote proportional selection (prefix sums + binary
+// search instead of a linear scan) and tree construction (pooled nodes
+// instead of heap LabeledTrees). Both are contractually RNG-neutral: one
+// uniform per pick, selecting the same index, sampling children in the
+// same order. The sample traces were recorded from the pre-rewrite
+// implementation at fixed seeds, and the row-caching sampler reproduces
+// them; any drift in estimates or sampled trees is a regression.
 
 TEST(FprasBitIdentityTest, SampleTracesPinned) {
   {
     Nfta a = FullBinaryTreeAutomaton();
     FprasConfig cfg;
-    cfg.seed_schema = 1;
     NftaFpras f(a, cfg);
     Rng rng(5);
     const char* kTrace[] = {
@@ -667,7 +556,6 @@ TEST(FprasBitIdentityTest, SampleTracesPinned) {
     Nfta a = RandomAutomaton(3017);
     FprasConfig cfg;
     cfg.seed = 11;
-    cfg.seed_schema = 1;
     NftaFpras f(a, cfg);
     Rng rng(42);
     const char* kTrace[] = {
@@ -704,7 +592,6 @@ TEST(FprasBitIdentityTest, OverlapSampleTracesPinned) {
     FprasConfig cfg;
     cfg.epsilon = 0.15;
     cfg.seed = pin.seed;
-    cfg.seed_schema = 1;
     NftaFpras f(a, cfg);
     // Match the recording: estimates computed first, then sampling.
     (void)f.EstimateUpTo(7);
@@ -718,15 +605,13 @@ TEST(FprasBitIdentityTest, OverlapSampleTracesPinned) {
   }
 }
 
-// Schema-2 (batched, the default) pins: same automata and seeds as the
-// schema-1 tests above. Recorded once; any change to the batched path's
-// RNG consumption or trial evaluation shows up here.
+// Estimate pins, recorded once; any change to the trials' RNG consumption
+// or evaluation shows up here.
 TEST(FprasBitIdentityTest, AmbiguousEstimatesPinnedV2) {
   Nfta a = AmbiguousAutomaton(4);
   FprasConfig cfg;
   cfg.epsilon = 0.1;
   cfg.seed = 99;
-  ASSERT_EQ(cfg.seed_schema, 2);  // batched is the default
   NftaFpras f(a, cfg);
   const double kPinned[] = {
       0.99606082426193399, 1.0109703926468721, 1.0121563810411285,
@@ -753,7 +638,7 @@ TEST(FprasBitIdentityTest, OverlapEstimatesPinnedV2) {
     cfg.epsilon = 0.15;
     cfg.seed = pin.seed;
     // The estimate is a function of (automaton, config) only — any thread
-    // count must reproduce the serial bits (schema 2 keys RNG streams by
+    // count must reproduce the serial bits (RNG streams are keyed by the
     // global trial index, so chunk partitioning is irrelevant).
     for (size_t threads : {size_t{1}, size_t{3}}) {
       cfg.threads = threads;
@@ -782,28 +667,6 @@ TEST(FprasBitIdentityTest, RandomAutomataEstimatesPinnedV2) {
     NftaFpras f(a, cfg);
     EXPECT_EQ(f.EstimateUpTo(7), pin.upto7) << "seed " << pin.seed;
     EXPECT_EQ(f.union_estimations(), pin.unions) << "seed " << pin.seed;
-  }
-}
-
-// Both schemas must agree on which languages are (non-)empty and stay
-// within loose relative range of each other — they estimate the same
-// quantity at the same accuracy, only the RNG consumption differs.
-TEST(FprasBitIdentityTest, SchemasAgreeOnAccuracy) {
-  for (uint64_t seed = 1; seed <= 6; ++seed) {
-    Nfta a = RandomAutomaton(seed * 1000 + 17);
-    FprasConfig cfg;
-    cfg.epsilon = 0.2;
-    cfg.seed = seed;
-    cfg.seed_schema = 1;
-    NftaFpras f1(a, cfg);
-    cfg.seed_schema = 2;
-    NftaFpras f2(a, cfg);
-    double e1 = f1.EstimateUpTo(7);
-    double e2 = f2.EstimateUpTo(7);
-    EXPECT_EQ(e1 == 0.0, e2 == 0.0) << "seed " << seed;
-    if (e1 > 0) {
-      EXPECT_NEAR(e2 / e1, 1.0, 0.25) << "seed " << seed;
-    }
   }
 }
 
@@ -942,15 +805,12 @@ TEST(FprasDisjointUnionTest, DisjointUnionsDrawNoSamples) {
   a.AddTransition(q2, sc, {});
   a.SetInitial(q0);
   ExactTreeCounter exact(a);
-  for (int schema : {1, 2}) {
-    FprasConfig cfg;
-    cfg.seed = 7;
-    cfg.seed_schema = schema;
-    NftaFpras f(a, cfg);
-    EXPECT_EQ(f.EstimateUpTo(7), std::stod(exact.CountUpTo(7).ToString()));
-    EXPECT_GT(f.union_estimations(), 0u);
-    EXPECT_EQ(f.klm_samples(), 0u);
-  }
+  FprasConfig cfg;
+  cfg.seed = 7;
+  NftaFpras f(a, cfg);
+  EXPECT_EQ(f.EstimateUpTo(7), std::stod(exact.CountUpTo(7).ToString()));
+  EXPECT_GT(f.union_estimations(), 0u);
+  EXPECT_EQ(f.klm_samples(), 0u);
 }
 
 // OverlapAutomaton's unions overlap (q1 and q2 both accept b-chains), so
@@ -959,16 +819,13 @@ TEST(FprasDisjointUnionTest, OverlappingUnionsStillSampleWithinEpsilon) {
   Nfta a = OverlapAutomaton();
   ExactTreeCounter exact(a);
   double want = std::stod(exact.CountUpTo(7).ToString());
-  for (int schema : {1, 2}) {
-    FprasConfig cfg;
-    cfg.epsilon = 0.15;
-    cfg.seed = 7;
-    cfg.seed_schema = schema;
-    NftaFpras f(a, cfg);
-    double got = f.EstimateUpTo(7);
-    EXPECT_GT(f.klm_samples(), 0u) << "schema " << schema;
-    EXPECT_NEAR(got / want, 1.0, cfg.epsilon) << "schema " << schema;
-  }
+  FprasConfig cfg;
+  cfg.epsilon = 0.15;
+  cfg.seed = 7;
+  NftaFpras f(a, cfg);
+  double got = f.EstimateUpTo(7);
+  EXPECT_GT(f.klm_samples(), 0u);
+  EXPECT_NEAR(got / want, 1.0, cfg.epsilon);
 }
 
 }  // namespace

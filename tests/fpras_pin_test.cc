@@ -5,8 +5,8 @@
 // cost-only changes, so every estimate (as a bit pattern) and every
 // union-estimation count must stay exactly as recorded.
 //
-// Grid: seeds 1-8 x seed schemas 1 and 2 x disjoint grouping on and off,
-// each run at 1 and at 4 lanes against the same row. Inputs whose unions
+// Grid: seeds 1-8 x disjoint grouping on and off, each run at 1 and at 4
+// lanes against the same row. Inputs whose unions
 // are all disjoint: the CLI smoke instance, chain / star / triangle
 // instances, and ocqa_test's Example 1.1, answer-variable chain and §5.1
 // instances. Inputs with overlapping unions (the Karp–Luby–Madras path):
@@ -41,429 +41,218 @@ struct Pin {
   const char* input;
   const char* side;  // "ur", "us", or "upto" (raw automaton)
   bool grouped;
-  int schema;
   uint64_t bits[kSeeds];
   size_t unions[kSeeds];
 };
 
 // clang-format off
 const Pin kPins[] = {
-    {"smoke", "ur", true, 1,
+    {"smoke", "ur", true,
      {0x402e000000000000, 0x402e000000000000, 0x402e000000000000,
       0x402e000000000000, 0x402e000000000000, 0x402e000000000000,
       0x402e000000000000, 0x402e000000000000},
      {1, 1, 1, 1, 1, 1, 1, 1}},
-    {"smoke", "ur", true, 2,
-     {0x402e000000000000, 0x402e000000000000, 0x402e000000000000,
-      0x402e000000000000, 0x402e000000000000, 0x402e000000000000,
-      0x402e000000000000, 0x402e000000000000},
-     {1, 1, 1, 1, 1, 1, 1, 1}},
-    {"smoke", "ur", false, 1,
+    {"smoke", "ur", false,
      {0x402e000000000000, 0x402e000000000000, 0x402e000000000000,
       0x402e000000000000, 0x402e000000000000, 0x402e000000000000,
       0x402e000000000000, 0x402e000000000000},
      {4, 4, 4, 4, 4, 4, 4, 4}},
-    {"smoke", "ur", false, 2,
-     {0x402e000000000000, 0x402e000000000000, 0x402e000000000000,
-      0x402e000000000000, 0x402e000000000000, 0x402e000000000000,
-      0x402e000000000000, 0x402e000000000000},
-     {4, 4, 4, 4, 4, 4, 4, 4}},
-    {"smoke", "us", true, 1,
+    {"smoke", "us", true,
      {0x4056800000000000, 0x4056800000000000, 0x4056800000000000,
       0x4056800000000000, 0x4056800000000000, 0x4056800000000000,
       0x4056800000000000, 0x4056800000000000},
      {5, 5, 5, 5, 5, 5, 5, 5}},
-    {"smoke", "us", true, 2,
-     {0x4056800000000000, 0x4056800000000000, 0x4056800000000000,
-      0x4056800000000000, 0x4056800000000000, 0x4056800000000000,
-      0x4056800000000000, 0x4056800000000000},
-     {5, 5, 5, 5, 5, 5, 5, 5}},
-    {"smoke", "us", false, 1,
+    {"smoke", "us", false,
      {0x4056800000000000, 0x4056800000000000, 0x4056800000000000,
       0x4056800000000000, 0x4056800000000000, 0x4056800000000000,
       0x4056800000000000, 0x4056800000000000},
      {19, 19, 19, 19, 19, 19, 19, 19}},
-    {"smoke", "us", false, 2,
-     {0x4056800000000000, 0x4056800000000000, 0x4056800000000000,
-      0x4056800000000000, 0x4056800000000000, 0x4056800000000000,
-      0x4056800000000000, 0x4056800000000000},
-     {19, 19, 19, 19, 19, 19, 19, 19}},
-    {"chain", "ur", true, 1,
+    {"chain", "ur", true,
      {0x4018000000000000, 0x4018000000000000, 0x4018000000000000,
       0x4018000000000000, 0x4018000000000000, 0x4018000000000000,
       0x4018000000000000, 0x4018000000000000},
      {1, 1, 1, 1, 1, 1, 1, 1}},
-    {"chain", "ur", true, 2,
-     {0x4018000000000000, 0x4018000000000000, 0x4018000000000000,
-      0x4018000000000000, 0x4018000000000000, 0x4018000000000000,
-      0x4018000000000000, 0x4018000000000000},
-     {1, 1, 1, 1, 1, 1, 1, 1}},
-    {"chain", "ur", false, 1,
+    {"chain", "ur", false,
      {0x4018000000000000, 0x4018000000000000, 0x4018000000000000,
       0x4018000000000000, 0x4018000000000000, 0x4018000000000000,
       0x4018000000000000, 0x4018000000000000},
      {2, 2, 2, 2, 2, 2, 2, 2}},
-    {"chain", "ur", false, 2,
-     {0x4018000000000000, 0x4018000000000000, 0x4018000000000000,
-      0x4018000000000000, 0x4018000000000000, 0x4018000000000000,
-      0x4018000000000000, 0x4018000000000000},
-     {2, 2, 2, 2, 2, 2, 2, 2}},
-    {"chain", "us", true, 1,
+    {"chain", "us", true,
      {0x4062000000000000, 0x4062000000000000, 0x4062000000000000,
       0x4062000000000000, 0x4062000000000000, 0x4062000000000000,
       0x4062000000000000, 0x4062000000000000},
      {3, 3, 3, 3, 3, 3, 3, 3}},
-    {"chain", "us", true, 2,
-     {0x4062000000000000, 0x4062000000000000, 0x4062000000000000,
-      0x4062000000000000, 0x4062000000000000, 0x4062000000000000,
-      0x4062000000000000, 0x4062000000000000},
-     {3, 3, 3, 3, 3, 3, 3, 3}},
-    {"chain", "us", false, 1,
+    {"chain", "us", false,
      {0x4062000000000000, 0x4062000000000000, 0x4062000000000000,
       0x4062000000000000, 0x4062000000000000, 0x4062000000000000,
       0x4062000000000000, 0x4062000000000000},
      {16, 16, 16, 16, 16, 16, 16, 16}},
-    {"chain", "us", false, 2,
-     {0x4062000000000000, 0x4062000000000000, 0x4062000000000000,
-      0x4062000000000000, 0x4062000000000000, 0x4062000000000000,
-      0x4062000000000000, 0x4062000000000000},
-     {16, 16, 16, 16, 16, 16, 16, 16}},
-    {"star", "ur", true, 1,
+    {"star", "ur", true,
      {0x4028000000000000, 0x4028000000000000, 0x4028000000000000,
       0x4028000000000000, 0x4028000000000000, 0x4028000000000000,
       0x4028000000000000, 0x4028000000000000},
      {3, 3, 3, 3, 3, 3, 3, 3}},
-    {"star", "ur", true, 2,
-     {0x4028000000000000, 0x4028000000000000, 0x4028000000000000,
-      0x4028000000000000, 0x4028000000000000, 0x4028000000000000,
-      0x4028000000000000, 0x4028000000000000},
-     {3, 3, 3, 3, 3, 3, 3, 3}},
-    {"star", "ur", false, 1,
+    {"star", "ur", false,
      {0x4028000000000000, 0x4028000000000000, 0x4028000000000000,
       0x4028000000000000, 0x4028000000000000, 0x4028000000000000,
       0x4028000000000000, 0x4028000000000000},
      {5, 5, 5, 5, 5, 5, 5, 5}},
-    {"star", "ur", false, 2,
-     {0x4028000000000000, 0x4028000000000000, 0x4028000000000000,
-      0x4028000000000000, 0x4028000000000000, 0x4028000000000000,
-      0x4028000000000000, 0x4028000000000000},
-     {5, 5, 5, 5, 5, 5, 5, 5}},
-    {"star", "us", true, 1,
+    {"star", "us", true,
      {0x4052000000000000, 0x4052000000000000, 0x4052000000000000,
       0x4052000000000000, 0x4052000000000000, 0x4052000000000000,
       0x4052000000000000, 0x4052000000000000},
      {7, 7, 7, 7, 7, 7, 7, 7}},
-    {"star", "us", true, 2,
-     {0x4052000000000000, 0x4052000000000000, 0x4052000000000000,
-      0x4052000000000000, 0x4052000000000000, 0x4052000000000000,
-      0x4052000000000000, 0x4052000000000000},
-     {7, 7, 7, 7, 7, 7, 7, 7}},
-    {"star", "us", false, 1,
+    {"star", "us", false,
      {0x4052000000000000, 0x4052000000000000, 0x4052000000000000,
       0x4052000000000000, 0x4052000000000000, 0x4052000000000000,
       0x4052000000000000, 0x4052000000000000},
      {21, 21, 21, 21, 21, 21, 21, 21}},
-    {"star", "us", false, 2,
-     {0x4052000000000000, 0x4052000000000000, 0x4052000000000000,
-      0x4052000000000000, 0x4052000000000000, 0x4052000000000000,
-      0x4052000000000000, 0x4052000000000000},
-     {21, 21, 21, 21, 21, 21, 21, 21}},
-    {"triangle", "ur", true, 1,
+    {"triangle", "ur", true,
      {0x4008000000000000, 0x4008000000000000, 0x4008000000000000,
       0x4008000000000000, 0x4008000000000000, 0x4008000000000000,
       0x4008000000000000, 0x4008000000000000},
      {0, 0, 0, 0, 0, 0, 0, 0}},
-    {"triangle", "ur", true, 2,
-     {0x4008000000000000, 0x4008000000000000, 0x4008000000000000,
-      0x4008000000000000, 0x4008000000000000, 0x4008000000000000,
-      0x4008000000000000, 0x4008000000000000},
-     {0, 0, 0, 0, 0, 0, 0, 0}},
-    {"triangle", "ur", false, 1,
+    {"triangle", "ur", false,
      {0x4008000000000000, 0x4008000000000000, 0x4008000000000000,
       0x4008000000000000, 0x4008000000000000, 0x4008000000000000,
       0x4008000000000000, 0x4008000000000000},
      {1, 1, 1, 1, 1, 1, 1, 1}},
-    {"triangle", "ur", false, 2,
-     {0x4008000000000000, 0x4008000000000000, 0x4008000000000000,
-      0x4008000000000000, 0x4008000000000000, 0x4008000000000000,
-      0x4008000000000000, 0x4008000000000000},
-     {1, 1, 1, 1, 1, 1, 1, 1}},
-    {"triangle", "us", true, 1,
+    {"triangle", "us", true,
      {0x4052000000000000, 0x4052000000000000, 0x4052000000000000,
       0x4052000000000000, 0x4052000000000000, 0x4052000000000000,
       0x4052000000000000, 0x4052000000000000},
      {3, 3, 3, 3, 3, 3, 3, 3}},
-    {"triangle", "us", true, 2,
-     {0x4052000000000000, 0x4052000000000000, 0x4052000000000000,
-      0x4052000000000000, 0x4052000000000000, 0x4052000000000000,
-      0x4052000000000000, 0x4052000000000000},
-     {3, 3, 3, 3, 3, 3, 3, 3}},
-    {"triangle", "us", false, 1,
+    {"triangle", "us", false,
      {0x4052000000000000, 0x4052000000000000, 0x4052000000000000,
       0x4052000000000000, 0x4052000000000000, 0x4052000000000000,
       0x4052000000000000, 0x4052000000000000},
      {13, 13, 13, 13, 13, 13, 13, 13}},
-    {"triangle", "us", false, 2,
-     {0x4052000000000000, 0x4052000000000000, 0x4052000000000000,
-      0x4052000000000000, 0x4052000000000000, 0x4052000000000000,
-      0x4052000000000000, 0x4052000000000000},
-     {13, 13, 13, 13, 13, 13, 13, 13}},
-    {"example_1_1", "ur", true, 1,
+    {"example_1_1", "ur", true,
      {0x4000000000000000, 0x4000000000000000, 0x4000000000000000,
       0x4000000000000000, 0x4000000000000000, 0x4000000000000000,
       0x4000000000000000, 0x4000000000000000},
      {1, 1, 1, 1, 1, 1, 1, 1}},
-    {"example_1_1", "ur", true, 2,
+    {"example_1_1", "ur", false,
      {0x4000000000000000, 0x4000000000000000, 0x4000000000000000,
       0x4000000000000000, 0x4000000000000000, 0x4000000000000000,
       0x4000000000000000, 0x4000000000000000},
      {1, 1, 1, 1, 1, 1, 1, 1}},
-    {"example_1_1", "ur", false, 1,
+    {"example_1_1", "us", true,
      {0x4000000000000000, 0x4000000000000000, 0x4000000000000000,
       0x4000000000000000, 0x4000000000000000, 0x4000000000000000,
       0x4000000000000000, 0x4000000000000000},
      {1, 1, 1, 1, 1, 1, 1, 1}},
-    {"example_1_1", "ur", false, 2,
+    {"example_1_1", "us", false,
      {0x4000000000000000, 0x4000000000000000, 0x4000000000000000,
       0x4000000000000000, 0x4000000000000000, 0x4000000000000000,
       0x4000000000000000, 0x4000000000000000},
      {1, 1, 1, 1, 1, 1, 1, 1}},
-    {"example_1_1", "us", true, 1,
-     {0x4000000000000000, 0x4000000000000000, 0x4000000000000000,
-      0x4000000000000000, 0x4000000000000000, 0x4000000000000000,
-      0x4000000000000000, 0x4000000000000000},
-     {1, 1, 1, 1, 1, 1, 1, 1}},
-    {"example_1_1", "us", true, 2,
-     {0x4000000000000000, 0x4000000000000000, 0x4000000000000000,
-      0x4000000000000000, 0x4000000000000000, 0x4000000000000000,
-      0x4000000000000000, 0x4000000000000000},
-     {1, 1, 1, 1, 1, 1, 1, 1}},
-    {"example_1_1", "us", false, 1,
-     {0x4000000000000000, 0x4000000000000000, 0x4000000000000000,
-      0x4000000000000000, 0x4000000000000000, 0x4000000000000000,
-      0x4000000000000000, 0x4000000000000000},
-     {1, 1, 1, 1, 1, 1, 1, 1}},
-    {"example_1_1", "us", false, 2,
-     {0x4000000000000000, 0x4000000000000000, 0x4000000000000000,
-      0x4000000000000000, 0x4000000000000000, 0x4000000000000000,
-      0x4000000000000000, 0x4000000000000000},
-     {1, 1, 1, 1, 1, 1, 1, 1}},
-    {"answer_chain", "ur", true, 1,
+    {"answer_chain", "ur", true,
      {0x4014000000000000, 0x4014000000000000, 0x4014000000000000,
       0x4014000000000000, 0x4014000000000000, 0x4014000000000000,
       0x4014000000000000, 0x4014000000000000},
      {1, 1, 1, 1, 1, 1, 1, 1}},
-    {"answer_chain", "ur", true, 2,
-     {0x4014000000000000, 0x4014000000000000, 0x4014000000000000,
-      0x4014000000000000, 0x4014000000000000, 0x4014000000000000,
-      0x4014000000000000, 0x4014000000000000},
-     {1, 1, 1, 1, 1, 1, 1, 1}},
-    {"answer_chain", "ur", false, 1,
+    {"answer_chain", "ur", false,
      {0x4014000000000000, 0x4014000000000000, 0x4014000000000000,
       0x4014000000000000, 0x4014000000000000, 0x4014000000000000,
       0x4014000000000000, 0x4014000000000000},
      {2, 2, 2, 2, 2, 2, 2, 2}},
-    {"answer_chain", "ur", false, 2,
-     {0x4014000000000000, 0x4014000000000000, 0x4014000000000000,
-      0x4014000000000000, 0x4014000000000000, 0x4014000000000000,
-      0x4014000000000000, 0x4014000000000000},
-     {2, 2, 2, 2, 2, 2, 2, 2}},
-    {"answer_chain", "us", true, 1,
+    {"answer_chain", "us", true,
      {0x4024000000000000, 0x4024000000000000, 0x4024000000000000,
       0x4024000000000000, 0x4024000000000000, 0x4024000000000000,
       0x4024000000000000, 0x4024000000000000},
      {2, 2, 2, 2, 2, 2, 2, 2}},
-    {"answer_chain", "us", true, 2,
-     {0x4024000000000000, 0x4024000000000000, 0x4024000000000000,
-      0x4024000000000000, 0x4024000000000000, 0x4024000000000000,
-      0x4024000000000000, 0x4024000000000000},
-     {2, 2, 2, 2, 2, 2, 2, 2}},
-    {"answer_chain", "us", false, 1,
+    {"answer_chain", "us", false,
      {0x4024000000000000, 0x4024000000000000, 0x4024000000000000,
       0x4024000000000000, 0x4024000000000000, 0x4024000000000000,
       0x4024000000000000, 0x4024000000000000},
      {4, 4, 4, 4, 4, 4, 4, 4}},
-    {"answer_chain", "us", false, 2,
-     {0x4024000000000000, 0x4024000000000000, 0x4024000000000000,
-      0x4024000000000000, 0x4024000000000000, 0x4024000000000000,
-      0x4024000000000000, 0x4024000000000000},
-     {4, 4, 4, 4, 4, 4, 4, 4}},
-    {"paper_5_1", "ur", true, 1,
+    {"paper_5_1", "ur", true,
      {0x4040000000000000, 0x4040000000000000, 0x4040000000000000,
       0x4040000000000000, 0x4040000000000000, 0x4040000000000000,
       0x4040000000000000, 0x4040000000000000},
      {1, 1, 1, 1, 1, 1, 1, 1}},
-    {"paper_5_1", "ur", true, 2,
-     {0x4040000000000000, 0x4040000000000000, 0x4040000000000000,
-      0x4040000000000000, 0x4040000000000000, 0x4040000000000000,
-      0x4040000000000000, 0x4040000000000000},
-     {1, 1, 1, 1, 1, 1, 1, 1}},
-    {"paper_5_1", "ur", false, 1,
+    {"paper_5_1", "ur", false,
      {0x4040000000000000, 0x4040000000000000, 0x4040000000000000,
       0x4040000000000000, 0x4040000000000000, 0x4040000000000000,
       0x4040000000000000, 0x4040000000000000},
      {4, 4, 4, 4, 4, 4, 4, 4}},
-    {"paper_5_1", "ur", false, 2,
-     {0x4040000000000000, 0x4040000000000000, 0x4040000000000000,
-      0x4040000000000000, 0x4040000000000000, 0x4040000000000000,
-      0x4040000000000000, 0x4040000000000000},
-     {4, 4, 4, 4, 4, 4, 4, 4}},
-    {"paper_5_1", "us", true, 1,
+    {"paper_5_1", "us", true,
      {0x410ded4000000000, 0x410ded4000000000, 0x410ded4000000000,
       0x410ded4000000000, 0x410ded4000000000, 0x410ded4000000000,
       0x410ded4000000000, 0x410ded4000000000},
      {33, 33, 33, 33, 33, 33, 33, 33}},
-    {"paper_5_1", "us", true, 2,
-     {0x410ded4000000000, 0x410ded4000000000, 0x410ded4000000000,
-      0x410ded4000000000, 0x410ded4000000000, 0x410ded4000000000,
-      0x410ded4000000000, 0x410ded4000000000},
-     {33, 33, 33, 33, 33, 33, 33, 33}},
-    {"paper_5_1", "us", false, 1,
+    {"paper_5_1", "us", false,
      {0x410ded4000000000, 0x410ded4000000000, 0x410ded4000000000,
       0x410ded4000000000, 0x410ded4000000000, 0x410ded4000000000,
       0x410ded4000000000, 0x410ded4000000000},
      {245, 245, 245, 245, 245, 245, 245, 245}},
-    {"paper_5_1", "us", false, 2,
-     {0x410ded4000000000, 0x410ded4000000000, 0x410ded4000000000,
-      0x410ded4000000000, 0x410ded4000000000, 0x410ded4000000000,
-      0x410ded4000000000, 0x410ded4000000000},
-     {245, 245, 245, 245, 245, 245, 245, 245}},
-    {"service_emp", "ur", true, 1,
-     {0x4022a30b853b8975, 0x402218a32ab14e20, 0x4021002b4b6f26fc,
-      0x40206660dbb86db3, 0x4022138b21a7a366, 0x4020f92929ebe1ab,
-      0x40236f89b2841dcb, 0x402202bf1af8a216},
-     {5, 5, 5, 5, 5, 5, 5, 5}},
-    {"service_emp", "ur", true, 2,
+    {"service_emp", "ur", true,
      {0x4022ea936e8e9699, 0x40237b8b9e57edc3, 0x402227f077d16775,
       0x4020f7521e284dfc, 0x40226c932cbfc4b0, 0x40221cdbcd35bf0c,
       0x4022c754d2df406b, 0x4021bdc5cf2bf6e1},
      {5, 5, 5, 5, 5, 5, 5, 5}},
-    {"service_emp", "ur", false, 1,
-     {0x4022ea473bb67af2, 0x4021b70737d0f89f, 0x402121fac398e0a4,
-      0x40214de8fc76468f, 0x4022fc5e07d568ac, 0x402111708bbbc8aa,
-      0x4020ba1ce9a7e8ac, 0x4021b48ba7009d97},
-     {8, 8, 8, 8, 8, 8, 8, 8}},
-    {"service_emp", "ur", false, 2,
+    {"service_emp", "ur", false,
      {0x402141c7e48fdfa3, 0x4021d68f134952d6, 0x4022ad042c8327e1,
       0x402138294ad34a9f, 0x40238ebe6dcae57a, 0x40210f28ef0a6938,
       0x40229ca384bed92a, 0x40207d22969ff5d3},
      {8, 8, 8, 8, 8, 8, 8, 8}},
-    {"service_emp", "us", true, 1,
-     {0x4031f7ec8295190b, 0x40335cacae3d64aa, 0x4031ee32ffa48700,
-      0x403102c6fdf41c74, 0x4031d5ef2c783013, 0x4031654642d9b3cb,
-      0x4030864f52edf8ca, 0x4030e5fb20a54642},
-     {7, 7, 7, 7, 7, 7, 7, 7}},
-    {"service_emp", "us", true, 2,
+    {"service_emp", "us", true,
      {0x40318405113fa273, 0x4031d8693edadf29, 0x4030fa5d3a0c2612,
       0x4032aee5c93bbc90, 0x403174cd29ef9042, 0x4031e711b40de71e,
       0x403269b346537b57, 0x4030a9ce4cfc3311},
      {7, 7, 7, 7, 7, 7, 7, 7}},
-    {"service_emp", "us", false, 1,
-     {0x403151ed398718fc, 0x4030c1ecb47a01c1, 0x4031f7c3f8980576,
-      0x40323c0b906344c4, 0x40318a3e9007cbc4, 0x4032a66b63b0def7,
-      0x403149f09a5c2ff2, 0x4031d35e3bd58312},
-     {12, 12, 12, 12, 12, 12, 12, 12}},
-    {"service_emp", "us", false, 2,
+    {"service_emp", "us", false,
      {0x403128b8c3adc0a8, 0x403199073e6673b4, 0x4032a02ba84b9ef0,
       0x4032200746b74528, 0x4030ad97144d4f5c, 0x4031b422b129ce4d,
       0x403265ac20df7bfe, 0x4032627e3acb68e3},
      {12, 12, 12, 12, 12, 12, 12, 12}},
-    {"service_emp_ops", "ur", true, 1,
-     {0x402165b69add468d, 0x402132fd5d661f48, 0x4021f4aae20d7970,
-      0x402228a297a99033, 0x4021b9605bcd5faf, 0x40225699575bbefa,
-      0x40237e2ae17fafb0, 0x4020256ffce2712c},
-     {6, 6, 6, 6, 6, 6, 6, 6}},
-    {"service_emp_ops", "ur", true, 2,
+    {"service_emp_ops", "ur", true,
      {0x4021e173397567c0, 0x40210fc1c29099c5, 0x4021ccc45371428f,
       0x4021d9f154d4d67f, 0x4022bd6b85b7d9e3, 0x40210ac7e1fcdbcc,
       0x4021fea16825b272, 0x4021b8bcf851cc54},
      {6, 6, 6, 6, 6, 6, 6, 6}},
-    {"service_emp_ops", "ur", false, 1,
-     {0x4022ed0f832c831c, 0x40233fef1b76b1da, 0x4020a86aa7110b4e,
-      0x40208b0c01ebd3d0, 0x4020e678bb95d96f, 0x4020c292d0eae7df,
-      0x4022623207737e23, 0x40211c56743b8ea7},
-     {10, 10, 10, 10, 10, 10, 10, 10}},
-    {"service_emp_ops", "ur", false, 2,
+    {"service_emp_ops", "ur", false,
      {0x4020e39c40da7f65, 0x4022f9596f738700, 0x402189cfc0ede1fb,
       0x40228b8fd37bc887, 0x40225e342872f5e3, 0x4021e934cfb6f5b3,
       0x40214acc972fb6d2, 0x4021b13b13b13b14},
      {10, 10, 10, 10, 10, 10, 10, 10}},
-    {"service_emp_ops", "us", true, 1,
-     {0x40323b3b473f04ac, 0x40308909499d63cc, 0x40315563cb642b22,
-      0x40321c54063bb6f2, 0x4031d4f5177fd81b, 0x40311d97a7bcae47,
-      0x40318336ca54e5a2, 0x4032556bc5e7f08a},
-     {9, 9, 9, 9, 9, 9, 9, 9}},
-    {"service_emp_ops", "us", true, 2,
+    {"service_emp_ops", "us", true,
      {0x40337e3db5932ad3, 0x40318bfac3998674, 0x40329bf3734b66d4,
       0x403007f3ddacee71, 0x403172c7c155bfb7, 0x4032a5d8a5b8bbaa,
       0x40303e5d1ffa041d, 0x403035c7b160b82c},
      {9, 9, 9, 9, 9, 9, 9, 9}},
-    {"service_emp_ops", "us", false, 1,
-     {0x40319a7b4b3c4690, 0x403032178fcd22f9, 0x40314657a3bf6c65,
-      0x4031f05ac19ae581, 0x4032168882268585, 0x4031ef2c3c413dd0,
-      0x4031c983759f2298, 0x40321342c21a8dbf},
-     {14, 14, 14, 14, 14, 14, 14, 14}},
-    {"service_emp_ops", "us", false, 2,
+    {"service_emp_ops", "us", false,
      {0x403243b7c6fc87b8, 0x4032071e70680dcc, 0x402fe4e8a011f3a8,
       0x4030bf97f23426d0, 0x4030e1db63d60786, 0x40316fb4b3c468f9,
       0x4033701899c0f602, 0x40323011f3a87c2b},
      {14, 14, 14, 14, 14, 14, 14, 14}},
-    {"ungrouped_r", "ur", true, 1,
-     {0x400756ef3082a443, 0x4006aa06b96557e5, 0x4008771d4c5e238b,
-      0x4007a3c8490170df, 0x4006f6dfd1e42481, 0x4008fd99373c099b,
-      0x4008c3f664dcf026, 0x4006d07345a4be33},
-     {1, 1, 1, 1, 1, 1, 1, 1}},
-    {"ungrouped_r", "ur", true, 2,
+    {"ungrouped_r", "ur", true,
      {0x400756ef3082a443, 0x40082a4433df56ef, 0x4006aa06b96557e5,
       0x400850b0c01ebd3d, 0x4008ea62f11c5674, 0x4007f0a161803d7a,
       0x400743b8ea62f11c, 0x40088a53927dd6b2},
      {1, 1, 1, 1, 1, 1, 1, 1}},
-    {"ungrouped_r", "ur", false, 1,
-     {0x4008b0c01ebd3d00, 0x4008b0c01ebd3d00, 0x400863e7063e7064,
-      0x4008c3f664dcf026, 0x40073082a4433df5, 0x40070a161803d7a8,
-      0x4007dd6b1b608a54, 0x40073082a4433df5},
-     {2, 2, 2, 2, 2, 2, 2, 2}},
-    {"ungrouped_r", "ur", false, 2,
+    {"ungrouped_r", "ur", false,
      {0x4007909202e1bdb8, 0x4006d07345a4be33, 0x4007dd6b1b608a54,
       0x40089d89d89d89d9, 0x40092405c37b6fe9, 0x4006d07345a4be33,
       0x40070a161803d7a8, 0x40070a161803d7a8},
      {2, 2, 2, 2, 2, 2, 2, 2}},
-    {"ungrouped_r", "us", true, 1,
-     {0x4007dfb632bd1dfb, 0x4008d1dfb632bd1e, 0x40088caf477ed8cb,
-      0x4008195e8efdb196, 0x40071024e6a17102, 0x400922983759f22a,
-      0x4007555555555555, 0x4007a60dd67c8a61},
-     {1, 1, 1, 1, 1, 1, 1, 1}},
-    {"ungrouped_r", "us", true, 2,
+    {"ungrouped_r", "us", true,
      {0x4007d42e2049cd43, 0x4006350b88127351, 0x4007b195e8efdb19,
       0x40086a171024e6a1, 0x40088127350b8812, 0x40086a171024e6a1,
       0x4007d42e2049cd43, 0x400657a3bf6c657a},
      {1, 1, 1, 1, 1, 1, 1, 1}},
-    {"ungrouped_r", "us", false, 1,
-     {0x4007dfb632bd1dfb, 0x4008d1dfb632bd1e, 0x40088caf477ed8cb,
-      0x4008195e8efdb196, 0x40071024e6a17102, 0x400922983759f22a,
-      0x4007555555555555, 0x4007a60dd67c8a61},
-     {1, 1, 1, 1, 1, 1, 1, 1}},
-    {"ungrouped_r", "us", false, 2,
+    {"ungrouped_r", "us", false,
      {0x4007d42e2049cd43, 0x4006350b88127351, 0x4007b195e8efdb19,
       0x40086a171024e6a1, 0x40088127350b8812, 0x40086a171024e6a1,
       0x4007d42e2049cd43, 0x400657a3bf6c657a},
      {1, 1, 1, 1, 1, 1, 1, 1}},
-    {"overlap_chains", "upto", true, 1,
-     {0x40a764008adf4370, 0x40a7287fb453c130, 0x40a70afbb22b97aa,
-      0x40a6f86cf20342e5, 0x40a81fec0e29a4b8, 0x40a725ba0653e5c6,
-      0x40a6fc1ea4322e16, 0x40a727f22c021adb},
-     {45, 45, 45, 45, 45, 45, 45, 45}},
-    {"overlap_chains", "upto", true, 2,
+    {"overlap_chains", "upto", true,
      {0x40a717357a215a8e, 0x40a7388ab902e0c6, 0x40a6ff17a92727be,
       0x40a7d4923c6e8552, 0x40a7502214d40636, 0x40a72cd20c9dd0fa,
       0x40a735c9af532332, 0x40a7e9aedc3917aa},
      {45, 45, 45, 45, 45, 45, 45, 45}},
-    {"overlap_chains", "upto", false, 1,
-     {0x40a752ccc84910d6, 0x40a737b80b31fb31, 0x40a74ceed2b0d1f2,
-      0x40a7d02f2e002896, 0x40a73f567e043996, 0x40a73e6fe5ce07b4,
-      0x40a7565ddaf9b723, 0x40a778f3c239ccb6},
-     {36, 36, 36, 36, 36, 36, 36, 36}},
-    {"overlap_chains", "upto", false, 2,
+    {"overlap_chains", "upto", false,
      {0x40a77c44ec431a7a, 0x40a77055cf132e30, 0x40a7789708e49da0,
       0x40a7473162b55f62, 0x40a71a77ec9f8db4, 0x40a783c32514f1b6,
       0x40a76028cc4c0a35, 0x40a728258d1af4ea},
@@ -566,10 +355,9 @@ uint64_t Bits(double x) {
 }
 
 const Pin* FindPin(const std::string& input, const std::string& side,
-                   bool grouped, int schema) {
+                   bool grouped) {
   for (const Pin& pin : kPins) {
-    if (input == pin.input && side == pin.side && grouped == pin.grouped &&
-        schema == pin.schema) {
+    if (input == pin.input && side == pin.side && grouped == pin.grouped) {
       return &pin;
     }
   }
@@ -584,9 +372,9 @@ struct Outcome {
 
 /// Checks one row of the grid; `run(config, lanes)` runs at one seed.
 void CheckRow(const std::string& input, const std::string& side,
-              bool grouped, int schema,
+              bool grouped,
               const std::function<Outcome(const FprasConfig&, size_t)>& run) {
-  const Pin* pin = FindPin(input, side, grouped, schema);
+  const Pin* pin = FindPin(input, side, grouped);
   for (size_t lanes : {size_t{1}, size_t{4}}) {
     uint64_t bits[kSeeds];
     size_t unions[kSeeds];
@@ -596,7 +384,6 @@ void CheckRow(const std::string& input, const std::string& side,
       config.epsilon = 0.5;
       config.delta = 0.25;
       config.seed = static_cast<uint64_t>(s + 1);
-      config.seed_schema = schema;
       config.group_disjoint_components = grouped;
       Outcome r = run(config, lanes);
       bits[s] = Bits(r.estimate);
@@ -605,8 +392,7 @@ void CheckRow(const std::string& input, const std::string& side,
     }
     if (match) continue;
     std::string row = "    {\"" + input + "\", \"" + side + "\", " +
-                      (grouped ? "true" : "false") + ", " +
-                      std::to_string(schema) + ",\n     {";
+                      (grouped ? "true" : "false") + ",\n     {";
     char hex[24];
     for (int s = 0; s < kSeeds; ++s) {
       std::snprintf(hex, sizeof hex, "0x%016" PRIx64, bits[s]);
@@ -645,21 +431,18 @@ TEST(FprasPinTest, EngineEstimatesMatchTheRecordedBits) {
                      const std::vector<Value>& answer) {
       for (bool us : {false, true}) {
         for (bool grouped : {true, false}) {
-          for (int schema : {1, 2}) {
-            CheckRow(input.name, us ? "us" : "ur", grouped, schema,
-                     [&](const FprasConfig& config, size_t lanes) {
-                       OcqaOptions options;
-                       options.fpras = config;
-                       options.threads = lanes;
-                       Result<ApproxRF> rf =
-                           us ? engine.ApproxUs(compiled, answer, options)
-                              : engine.ApproxUr(compiled, answer, options);
-                       EXPECT_TRUE(rf.ok()) << rf.status().ToString();
-                       return rf.ok()
-                                  ? Outcome{rf->numerator, rf->union_trials}
-                                  : Outcome{-1, 0};
-                     });
-          }
+          CheckRow(input.name, us ? "us" : "ur", grouped,
+                   [&](const FprasConfig& config, size_t lanes) {
+                     OcqaOptions options;
+                     options.fpras = config;
+                     options.threads = lanes;
+                     Result<ApproxRF> rf =
+                         us ? engine.ApproxUs(compiled, answer, options)
+                            : engine.ApproxUr(compiled, answer, options);
+                     EXPECT_TRUE(rf.ok()) << rf.status().ToString();
+                     return rf.ok() ? Outcome{rf->numerator, rf->union_trials}
+                                    : Outcome{-1, 0};
+                   });
         }
       }
     });
@@ -697,15 +480,13 @@ TEST(FprasPinTest, OverlapChainsEstimatesMatchTheRecordedBits) {
   Nfta a = OverlapChains(6);
   ThreadPool pool(4);
   for (bool grouped : {true, false}) {
-    for (int schema : {1, 2}) {
-      CheckRow("overlap_chains", "upto", grouped, schema,
-               [&](FprasConfig config, size_t lanes) {
-                 config.threads = lanes;
-                 NftaFpras f(a, config, lanes == 1 ? nullptr : &pool);
-                 double estimate = f.EstimateUpTo(10);
-                 return Outcome{estimate, f.union_estimations()};
-               });
-    }
+    CheckRow("overlap_chains", "upto", grouped,
+             [&](FprasConfig config, size_t lanes) {
+               config.threads = lanes;
+               NftaFpras f(a, config, lanes == 1 ? nullptr : &pool);
+               double estimate = f.EstimateUpTo(10);
+               return Outcome{estimate, f.union_estimations()};
+             });
   }
 }
 

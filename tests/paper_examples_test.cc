@@ -182,27 +182,23 @@ TEST(Paper51Test, TrimmedAutomataMatchTheConstruction) {
 
   ThreadPool pool(4);
   for (uint64_t seed = 1; seed <= 5; ++seed) {
-    for (int schema : {1, 2}) {
-      for (size_t threads : {size_t{1}, size_t{4}}) {
-        FprasConfig config;
-        config.seed = seed;
-        config.seed_schema = schema;
-        config.threads = threads;
-        ThreadPool* lanes = threads == 1 ? nullptr : &pool;
-        NftaFpras rep_a(raw_rep->nfta, config, lanes);
-        NftaFpras rep_b((*rep)->nfta, config, lanes);
-        EXPECT_EQ(rep_a.EstimateExactSize(raw_rep->tree_size),
-                  rep_b.EstimateExactSize(raw_rep->tree_size))
-            << "seed " << seed << " schema " << schema;
-        EXPECT_EQ(rep_a.union_estimations(), rep_b.union_estimations());
-        if (seed != 1 || threads == 1) continue;
-        NftaFpras seq_a(raw_seq->nfta, config, lanes);
-        NftaFpras seq_b((*seq)->nfta, config, lanes);
-        EXPECT_EQ(seq_a.EstimateUpTo(raw_seq->max_tree_size),
-                  seq_b.EstimateUpTo(raw_seq->max_tree_size))
-            << "schema " << schema;
-        EXPECT_EQ(seq_a.union_estimations(), seq_b.union_estimations());
-      }
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      FprasConfig config;
+      config.seed = seed;
+      config.threads = threads;
+      ThreadPool* lanes = threads == 1 ? nullptr : &pool;
+      NftaFpras rep_a(raw_rep->nfta, config, lanes);
+      NftaFpras rep_b((*rep)->nfta, config, lanes);
+      EXPECT_EQ(rep_a.EstimateExactSize(raw_rep->tree_size),
+                rep_b.EstimateExactSize(raw_rep->tree_size))
+          << "seed " << seed;
+      EXPECT_EQ(rep_a.union_estimations(), rep_b.union_estimations());
+      if (seed != 1 || threads == 1) continue;
+      NftaFpras seq_a(raw_seq->nfta, config, lanes);
+      NftaFpras seq_b((*seq)->nfta, config, lanes);
+      EXPECT_EQ(seq_a.EstimateUpTo(raw_seq->max_tree_size),
+                seq_b.EstimateUpTo(raw_seq->max_tree_size));
+      EXPECT_EQ(seq_a.union_estimations(), seq_b.union_estimations());
     }
   }
 }

@@ -171,24 +171,30 @@ TEST(RequestTest, StatsVerbAndExplainFlagParse) {
 }
 
 TEST(RequestTest, SeedSchemaParsesAndRoundTrips) {
-  // Default is the batched schema (2), kept implicit in the wire format.
+  // One schema (2): the default, kept implicit in the wire format.
   auto plain = ParseRequestLine("query='Ans() :- R(x)'");
   ASSERT_TRUE(plain.ok());
   EXPECT_EQ(plain->seed_schema, 2);
   EXPECT_EQ(FormatRequestLine(*plain).find("seed_schema"),
             std::string::npos);
 
-  auto legacy = ParseRequestLine("query='Ans() :- R(x)' seed_schema=1");
-  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
-  EXPECT_EQ(legacy->seed_schema, 1);
-  auto round = ParseRequestLine(FormatRequestLine(*legacy));
-  ASSERT_TRUE(round.ok());
-  EXPECT_EQ(round->seed_schema, 1);
+  auto two = ParseRequestLine("query='Ans() :- R(x)' seed_schema=2");
+  ASSERT_TRUE(two.ok()) << two.status().ToString();
+  EXPECT_EQ(two->seed_schema, 2);
+  EXPECT_EQ(FormatRequestLine(*two), FormatRequestLine(*plain));
 
-  EXPECT_FALSE(ParseRequestLine("query='Ans() :- R(x)' seed_schema=0").ok());
-  EXPECT_FALSE(ParseRequestLine("query='Ans() :- R(x)' seed_schema=3").ok());
-  EXPECT_FALSE(
-      ParseRequestLine("query='Ans() :- R(x)' seed_schema=latest").ok());
+  // The retired schema 1 and anything else are structured errors.
+  auto retired = ParseRequestLine("query='Ans() :- R(x)' seed_schema=1");
+  ASSERT_FALSE(retired.ok());
+  EXPECT_EQ(retired.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(retired.status().message().find("retired"), std::string::npos)
+      << retired.status().ToString();
+  for (const char* bad : {"0", "3", "latest"}) {
+    auto r = ParseRequestLine(
+        std::string("query='Ans() :- R(x)' seed_schema=") + bad);
+    ASSERT_FALSE(r.ok()) << bad;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
 }
 
 TEST(LruCacheTest, ForEachVisitsMostRecentFirst) {
@@ -265,37 +271,6 @@ TEST_F(ServiceTest, RenamedQuerySharesPlanAndResults) {
   EXPECT_EQ(stats.plan_misses, 1u);
   EXPECT_GE(stats.plan_hits, 1u);
   EXPECT_EQ(computed.payload, uncached.Execute(other_answer).payload);
-}
-
-TEST_F(ServiceTest, SeedSchemasUseDistinctCacheEntries) {
-  // The two RNG-consumption schemas produce different (equally valid)
-  // FPRAS estimates at the same seed, so they must not share result-cache
-  // entries — and each must replay byte-identically.
-  QueryService cached(inst_.db, inst_.keys);
-  QueryService uncached(inst_.db, inst_.keys, CachesOff());
-  Request v2 = MakeRequest("Ans(x) :- Emp(x, y), Dept(y, z)", "e1",
-                           RequestMode::kFpras);
-  Request v1 = v2;
-  v1.seed_schema = 1;
-
-  ServiceResponse first_v2 = cached.Execute(v2);
-  ASSERT_TRUE(first_v2.status.ok()) << first_v2.status.ToString();
-  EXPECT_FALSE(first_v2.cache_hit);
-
-  // Schema 1 with otherwise identical fields is a cache miss, not a hit.
-  ServiceResponse first_v1 = cached.Execute(v1);
-  ASSERT_TRUE(first_v1.status.ok()) << first_v1.status.ToString();
-  EXPECT_FALSE(first_v1.cache_hit);
-
-  // Each schema replays its own payload and matches the cache-free run.
-  ServiceResponse replay_v2 = cached.Execute(v2);
-  ServiceResponse replay_v1 = cached.Execute(v1);
-  EXPECT_TRUE(replay_v2.cache_hit);
-  EXPECT_TRUE(replay_v1.cache_hit);
-  EXPECT_EQ(first_v2.payload, replay_v2.payload);
-  EXPECT_EQ(first_v1.payload, replay_v1.payload);
-  EXPECT_EQ(first_v2.payload, uncached.Execute(v2).payload);
-  EXPECT_EQ(first_v1.payload, uncached.Execute(v1).payload);
 }
 
 TEST_F(ServiceTest, ResultCacheEvictsInLruOrder) {

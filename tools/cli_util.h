@@ -22,6 +22,18 @@ inline bool SizeFlag(const char* flag, const char* text, size_t* out) {
   return st.ok();
 }
 
+/// Upper bound on --threads: a pool of n lanes starts n - 1 OS threads.
+inline constexpr size_t kMaxThreadsFlag = 256;
+
+/// --threads parse: SizeFlag's grammar, and at most kMaxThreadsFlag, so a
+/// bad value is a usage error before any thread starts.
+inline bool ThreadsFlag(const char* text, size_t* out) {
+  if (!SizeFlag("--threads", text, out)) return false;
+  if (*out <= kMaxThreadsFlag) return true;
+  std::fprintf(stderr, "--threads must be at most %zu\n", kMaxThreadsFlag);
+  return false;
+}
+
 /// One result line per response on stdout, in request order, numbering from
 /// `first_id`. Split out of PrintBatchResponses so uocqa_serve's chunked
 /// --metrics-every path can keep response ids continuous across chunks.

@@ -4,7 +4,7 @@
 //   uocqa --db FILE --query "Ans(x) :- R(x,y), S(y,z)"
 //         [--answer v1,v2,...] [--mode exact|fpras|mc|all]
 //         [--epsilon E] [--delta D] [--samples N] [--seed S]
-//         [--seed-schema 1|2] [--threads N] [--profile]
+//         [--threads N] [--profile]
 //   uocqa --db FILE --batch FILE [--threads N]
 //   uocqa --version
 //
@@ -54,7 +54,6 @@ struct CliOptions {
   double delta = 0.1;
   size_t samples = 20000;
   uint64_t seed = 1;
-  int seed_schema = 2;  // FprasConfig::seed_schema: 1 legacy, 2 batched
   size_t threads = 0;  // 0 = hardware concurrency
   bool explain = false;
   bool profile = false;  // per-stage timing breakdown on stderr
@@ -65,7 +64,7 @@ void Usage(const char* argv0) {
       stderr,
       "usage: %s --db FILE --query 'Ans(..) :- ...' [--answer v1,v2]\n"
       "          [--mode exact|fpras|mc|all] [--epsilon E] [--delta D]\n"
-      "          [--samples N] [--seed S] [--seed-schema 1|2] [--threads N]\n"
+      "          [--samples N] [--seed S] [--threads N]\n"
       "          [--explain] [--profile]\n"
       "       %s --db FILE --batch FILE [--threads N]\n"
       "       %s --version\n",
@@ -117,20 +116,9 @@ bool ParseArgs(int argc, char** argv, CliOptions* out) {
       size_t seed = 0;
       if (!v || !SizeFlag("--seed", v, &seed)) return false;
       out->seed = static_cast<uint64_t>(seed);
-    } else if (std::strcmp(argv[i], "--seed-schema") == 0) {
-      const char* v = need_value("--seed-schema");
-      if (!v) return false;
-      if (std::strcmp(v, "1") == 0) {
-        out->seed_schema = 1;
-      } else if (std::strcmp(v, "2") == 0) {
-        out->seed_schema = 2;
-      } else {
-        std::fprintf(stderr, "--seed-schema expects 1 or 2\n");
-        return false;
-      }
     } else if (std::strcmp(argv[i], "--threads") == 0) {
       const char* v = need_value("--threads");
-      if (!v || !SizeFlag("--threads", v, &out->threads)) return false;
+      if (!v || !ThreadsFlag(v, &out->threads)) return false;
     } else if (std::strcmp(argv[i], "--explain") == 0) {
       out->explain = true;
     } else if (std::strcmp(argv[i], "--profile") == 0) {
@@ -265,7 +253,6 @@ int main(int argc, char** argv) {
       options.fpras.epsilon = opts.epsilon;
       options.fpras.delta = opts.delta;
       options.fpras.seed = opts.seed;
-      options.fpras.seed_schema = opts.seed_schema;
       options.threads = opts.threads;
       metrics::ScopedStage fpras_stage(nullptr, &trace, "fpras_trials_us");
       auto ur = engine.ApproxUr(*query, answer, options);

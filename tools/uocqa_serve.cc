@@ -146,7 +146,7 @@ bool ParseArgs(int argc, char** argv, ServeOptions* out) {
       out->requests_path = v;
     } else if (std::strcmp(argv[i], "--threads") == 0) {
       const char* v = need_value("--threads");
-      if (!v || !SizeFlag("--threads", v, &out->threads)) return false;
+      if (!v || !ThreadsFlag(v, &out->threads)) return false;
     } else if (std::strcmp(argv[i], "--plan-cache") == 0) {
       const char* v = need_value("--plan-cache");
       if (!v ||
